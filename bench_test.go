@@ -897,19 +897,15 @@ func rdlResolve(src string) (*resource.Registry, error) {
 	return rdl.ParseAndResolve(map[string]string{"bench.rdl": src})
 }
 
-// --- Scale: synthetic fleets through the whole parallel pipeline ---
-// Sweeps fleet size × worker count over the full pipeline — hypergraph
-// generation + constraint emission (front), portfolio SAT (solve),
-// port propagation (propagate, a slice of build), spec build (build),
+// --- Scale: synthetic fleets through the whole pipeline ---
+// Sweeps the fleet ladder over the full pipeline — hypergraph
+// generation + constraint emission (front), SAT (solve), port
+// propagation (propagate, a slice of build), spec build (build),
 // deployment preparation + concurrent deploy (deploy), and the true
 // end-to-end wall (e2e) — on seeded synthetic fleets from
-// internal/workload, and writes per-stage rows to BENCH_scale.json so
-// the perf trajectory has a checked-in baseline. Parallelism 0 is the
-// sequential reference path; ≥ 1 is the parallel pipeline, whose
-// output the differential suites (internal/workload) prove
-// byte-identical across widths. The big fleets (fleet2000, fleet5000)
-// skip -short runs and the quadratic sequential reference: their
-// speedups are reported against P=1.
+// internal/workload, and writes one row per fleet × stage to
+// BENCH_scale.json so the perf trajectory has a checked-in baseline.
+// The big fleets (fleet2000, fleet5000) skip -short runs.
 
 // --- Health: probe overhead on the monitor sweep ---
 // The health subsystem's cost model: one monitor sweep over fleet570
@@ -935,7 +931,6 @@ func BenchmarkHealthProbeOverhead(b *testing.B) {
 				Drivers:          deploy.NewDriverRegistry(),
 				World:            machine.NewWorld(),
 				Index:            pkgmgr.NewIndex(),
-				Parallelism:      4,
 				ProvisionMissing: true,
 			}}
 			a, err := ctl.Apply("bench", partial)
@@ -968,11 +963,11 @@ func BenchmarkProofOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g, err := hypergraph.GenerateOpts(reg, partial, hypergraph.Options{Parallelism: 4})
+			g, err := hypergraph.Generate(reg, partial)
 			if err != nil {
 				b.Fatal(err)
 			}
-			prob := constraint.EncodeParallel(g, constraint.Pairwise, 4)
+			prob := constraint.Encode(g, constraint.Pairwise)
 			for _, logProof := range []bool{false, true} {
 				name := "proof-off"
 				if logProof {
@@ -1068,25 +1063,20 @@ func BenchmarkProofOverhead(b *testing.B) {
 }
 
 func BenchmarkScaleFleet(b *testing.B) {
-	parallelisms := []int{0, 1, 2, 4, 8}
-	bigParallelisms := []int{1, 8}
 	stages := []string{"front", "solve", "propagate", "build", "deploy", "e2e"}
 
 	type row struct {
 		Fleet         string  `json:"fleet"`
 		Shape         string  `json:"shape"`
 		Stage         string  `json:"stage"`
-		Parallelism   int     `json:"parallelism"`
 		NsPerOp       float64 `json:"ns_per_op"`
 		GraphNodes    int     `json:"graph_nodes"`
 		GraphEdges    int     `json:"graph_edges"`
 		Clauses       int     `json:"clauses"`
 		FullInstances int     `json:"full_instances"`
-		SpeedupVsSeq  float64 `json:"speedup_vs_seq"`
 	}
 	// b.Run invokes each sub-benchmark more than once while
-	// calibrating b.N; key rows by fleet/stage/parallelism so the final
-	// run wins.
+	// calibrating b.N; key rows by fleet/stage so the final run wins.
 	rowByName := make(map[string]row)
 	var order []string
 
@@ -1096,128 +1086,93 @@ func BenchmarkScaleFleet(b *testing.B) {
 			continue
 		}
 		// The fleet group exists so -bench filters skip unselected
-		// fleets entirely: generation and shape metadata for a big
-		// fleet cost tens of seconds, paid only when a sub-bench runs.
+		// fleets entirely, and so a fleet's generation and shape
+		// metadata are paid once rather than once per b.N calibration.
 		b.Run(sh.Name, func(b *testing.B) {
 			reg, partial, err := workload.Generate(sh.Spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Shape metadata, measured once outside the timed loops
-			// (through the parallel path: the sequential front half is
-			// quadratic and the differential suites prove the outputs
-			// identical).
-			g, err := hypergraph.GenerateOpts(reg, partial, hypergraph.Options{Parallelism: 4})
+			// Shape metadata, measured once outside the timed loop.
+			g, err := hypergraph.Generate(reg, partial)
 			if err != nil {
 				b.Fatal(err)
 			}
-			prob := constraint.EncodeParallel(g, constraint.Pairwise, 4)
-			eMeta := config.New(reg)
-			eMeta.Parallelism = 4
-			fullMeta, err := eMeta.Configure(partial)
+			prob := constraint.Encode(g, constraint.Pairwise)
+			fullMeta, err := config.New(reg).Configure(partial)
 			if err != nil {
 				b.Fatal(err)
 			}
 
-			pars := parallelisms
-			if sh.Big {
-				pars = bigParallelisms
-			}
-			for _, par := range pars {
-				par := par
-				b.Run(fmt.Sprintf("p%d", par), func(b *testing.B) {
-					b.ReportAllocs()
-					var front, solve, prop, build, dep, e2e time.Duration
-					for i := 0; i < b.N; i++ {
-						start := time.Now()
-						e := config.New(reg)
-						e.Parallelism = par
-						full, st, err := e.ConfigureStats(partial)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if len(full.Instances) != len(fullMeta.Instances) {
-							b.Fatalf("output drifted: %d instances, want %d",
-								len(full.Instances), len(fullMeta.Instances))
-						}
-						dstart := time.Now()
-						d, err := deploy.New(full, deploy.Options{
-							Registry:         reg,
-							Drivers:          deploy.NewDriverRegistry(),
-							World:            machine.NewWorld(),
-							Index:            pkgmgr.NewIndex(),
-							Parallelism:      par,
-							ProvisionMissing: true,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := d.DeployConcurrent(); err != nil {
-							b.Fatal(err)
-						}
-						front += st.GraphWall + st.EncodeWall
-						solve += st.SolveWall
-						prop += st.PropagateWall
-						build += st.BuildWall
-						dep += time.Since(dstart)
-						e2e += time.Since(start)
+			b.Run("pipeline", func(b *testing.B) {
+				b.ReportAllocs()
+				var front, solve, prop, build, dep, e2e time.Duration
+				for i := 0; i < b.N; i++ {
+					start := time.Now()
+					full, st, err := config.New(reg).ConfigureStats(partial)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(len(fullMeta.Instances)), "instances")
-					perOp := func(d time.Duration) float64 {
-						return float64(d.Nanoseconds()) / float64(b.N)
+					if len(full.Instances) != len(fullMeta.Instances) {
+						b.Fatalf("output drifted: %d instances, want %d",
+							len(full.Instances), len(fullMeta.Instances))
 					}
-					stageNs := map[string]float64{
-						"front": perOp(front), "solve": perOp(solve),
-						"propagate": perOp(prop), "build": perOp(build),
-						"deploy": perOp(dep), "e2e": perOp(e2e),
+					dstart := time.Now()
+					d, err := deploy.New(full, deploy.Options{
+						Registry:         reg,
+						Drivers:          deploy.NewDriverRegistry(),
+						World:            machine.NewWorld(),
+						Index:            pkgmgr.NewIndex(),
+						ProvisionMissing: true,
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-					for _, stg := range stages {
-						key := fmt.Sprintf("%s/%s/p%d", sh.Name, stg, par)
-						if _, seen := rowByName[key]; !seen {
-							order = append(order, key)
-						}
-						rowByName[key] = row{
-							Fleet:         sh.Name,
-							Shape:         sh.Spec.String(),
-							Stage:         stg,
-							Parallelism:   par,
-							NsPerOp:       stageNs[stg],
-							GraphNodes:    g.Len(),
-							GraphEdges:    len(g.Edges),
-							Clauses:       len(prob.Formula.Clauses),
-							FullInstances: len(fullMeta.Instances),
-						}
+					if err := d.DeployConcurrent(); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					front += st.GraphWall + st.EncodeWall
+					solve += st.SolveWall
+					prop += st.PropagateWall
+					build += st.BuildWall
+					dep += time.Since(dstart)
+					e2e += time.Since(start)
+				}
+				b.ReportMetric(float64(len(fullMeta.Instances)), "instances")
+				perOp := func(d time.Duration) float64 {
+					return float64(d.Nanoseconds()) / float64(b.N)
+				}
+				stageNs := map[string]float64{
+					"front": perOp(front), "solve": perOp(solve),
+					"propagate": perOp(prop), "build": perOp(build),
+					"deploy": perOp(dep), "e2e": perOp(e2e),
+				}
+				for _, stg := range stages {
+					key := sh.Name + "/" + stg
+					if _, seen := rowByName[key]; !seen {
+						order = append(order, key)
+					}
+					rowByName[key] = row{
+						Fleet:         sh.Name,
+						Shape:         sh.Spec.String(),
+						Stage:         stg,
+						NsPerOp:       stageNs[stg],
+						GraphNodes:    g.Len(),
+						GraphEdges:    len(g.Edges),
+						Clauses:       len(prob.Formula.Clauses),
+						FullInstances: len(fullMeta.Instances),
+					}
+				}
+			})
 		})
 	}
 
-	// Fill speedups against each fleet+stage's sequential row (P=0, or
-	// P=1 for big fleets that skip the sequential reference) and
-	// persist.
+	if len(order) == 0 {
+		return
+	}
 	rows := make([]row, 0, len(order))
 	for _, name := range order {
 		rows = append(rows, rowByName[name])
-	}
-	baseNs := make(map[string]float64)
-	for _, r := range rows {
-		key := r.Fleet + "/" + r.Stage
-		if r.Parallelism == 0 {
-			baseNs[key] = r.NsPerOp
-		} else if r.Parallelism == 1 {
-			if _, ok := baseNs[key]; !ok {
-				baseNs[key] = r.NsPerOp
-			}
-		}
-	}
-	for i := range rows {
-		if base := baseNs[rows[i].Fleet+"/"+rows[i].Stage]; base > 0 && rows[i].NsPerOp > 0 {
-			rows[i].SpeedupVsSeq = base / rows[i].NsPerOp
-		}
-	}
-	if len(rows) == 0 {
-		return
 	}
 	out := struct {
 		Benchmark  string `json:"benchmark"`
@@ -1227,7 +1182,7 @@ func BenchmarkScaleFleet(b *testing.B) {
 		Rows       []row  `json:"rows"`
 	}{
 		Benchmark:  "BenchmarkScaleFleet",
-		Stage:      "full pipeline: front (graph+encode), solve (portfolio), propagate, build, deploy, e2e",
+		Stage:      "full pipeline: front (graph+encode), solve, propagate, build, deploy, e2e",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Rows:       rows,

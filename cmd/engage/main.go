@@ -19,10 +19,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -209,6 +211,51 @@ func openTrace(path string, clock telemetry.Clock) (*telemetry.Tracer, func() er
 	}, nil
 }
 
+// writeFileAtomic replaces the file at path with what write produces,
+// so that a crash or a failed write leaves either the old file or the
+// new one, never a truncated one: it writes a temporary file in the same
+// directory, fsyncs it, and renames it over path. A new file gets mode
+// 0644; an existing one keeps its mode.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	mode := os.FileMode(0o644)
+	if fi, statErr := os.Stat(path); statErr == nil {
+		mode = fi.Mode().Perm()
+	}
+	if err = f.Chmod(mode); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	// Persist the rename itself.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 func loadPartial(path string) (*spec.Partial, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-partial is required")
@@ -365,7 +412,6 @@ func cmdSolve(args []string, out *os.File) error {
 	solverName := fs.String("solver", "cdcl", "SAT solver: cdcl or dpll")
 	encName := fs.String("encoding", "pairwise", "exactly-one encoding: pairwise or ladder")
 	minimal := fs.Bool("minimal", false, "compute a subset-minimal installation (OPIUM-style)")
-	parallel := fs.Int("parallel", 0, "worker pool size for the whole pipeline: hypergraph generation, constraint emission, portfolio SAT width, spec build and port propagation (0 = sequential)")
 	tracePath := fs.String("trace", "", "write a JSON-lines telemetry trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -388,7 +434,6 @@ func cmdSolve(args []string, out *os.File) error {
 	}
 	eng := config.New(reg)
 	eng.Tracer = tr
-	eng.Parallelism = *parallel
 	switch *solverName {
 	case "cdcl":
 		eng.Solver = sat.NewCDCL()
@@ -433,10 +478,10 @@ func cmdSolve(args []string, out *os.File) error {
 	fmt.Fprintf(out, "// graph:   %d nodes, %d hyperedges; sat: %d vars, %d clauses, %d decisions, %d conflicts\n",
 		st.GraphNodes, st.GraphEdges, st.Vars, st.Clauses, st.Solver.Decisions, st.Solver.Conflicts)
 	if !*minimal {
-		fmt.Fprintf(out, "// stages:  graph %v, encode %v, solve %v, build %v (propagate %v) (parallelism %d)\n",
+		fmt.Fprintf(out, "// stages:  graph %v, encode %v, solve %v, build %v (propagate %v)\n",
 			st.GraphWall.Round(time.Microsecond), st.EncodeWall.Round(time.Microsecond),
 			st.SolveWall.Round(time.Microsecond), st.BuildWall.Round(time.Microsecond),
-			st.PropagateWall.Round(time.Microsecond), *parallel)
+			st.PropagateWall.Round(time.Microsecond))
 	}
 	if closeTrace != nil {
 		if err := closeTrace(); err != nil {
@@ -744,15 +789,7 @@ func cmdStack(args []string, out *os.File) error {
 
 	printStackRecord(out, a.Stack)
 	if *statePath != "" {
-		f, err := os.Create(*statePath)
-		if err != nil {
-			return err
-		}
-		if err := a.Stack.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFileAtomic(*statePath, a.Stack.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "record written to %s (inspect with: engage stack status -state %s)\n",
@@ -971,7 +1008,6 @@ func cmdServe(args []string, out *os.File) error {
 	rdlFiles := fs.String("rdl", "", "comma-separated RDL files (default: bundled library)")
 	statePath := fs.String("state", "", "deployment store file: loaded at startup, flushed on shutdown")
 	poolIdle := fs.Int("pool", 4, "idle warm sessions kept per request shape")
-	parallel := fs.Int("parallel", 0, "solver/deploy parallelism (0 = sequential, deterministic)")
 	tracePath := fs.String("trace", "", "write a JSON-lines telemetry trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -1004,10 +1040,9 @@ func cmdServe(args []string, out *os.File) error {
 		return err
 	}
 	opts := api.Options{
-		Registry:    reg,
-		Tracer:      tr,
-		PoolIdle:    *poolIdle,
-		Parallelism: *parallel,
+		Registry: reg,
+		Tracer:   tr,
+		PoolIdle: *poolIdle,
 	}
 	if bundled {
 		opts.Drivers = library.Drivers()
@@ -1063,16 +1098,8 @@ func cmdServe(args []string, out *os.File) error {
 	}
 
 	if *statePath != "" {
-		f, err := os.Create(*statePath)
-		if err != nil {
-			return err
-		}
-		if err := srv.Store().WriteJSON(f); err != nil {
-			f.Close()
+		if err := writeFileAtomic(*statePath, srv.Store().WriteJSON); err != nil {
 			return fmt.Errorf("serve: flushing store to %s: %v", *statePath, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 		fmt.Fprintf(out, "flushed %d stack records to %s\n", srv.Store().Len(), *statePath)
 	}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,5 +246,58 @@ func TestCmdSolveMinimal(t *testing.T) {
 	}
 	if !strings.Contains(out, "5 instances") {
 		t.Errorf("minimal solve output: %s", out)
+	}
+}
+
+// A state-file writer that fails mid-flush must leave the old file
+// byte-identical and no temporary file behind; a writer that succeeds
+// replaces the file and keeps its mode.
+func TestWriteFileAtomic(t *testing.T) {
+	path := writeFile(t, "state.json", `{"seq":7,"records":[]}`+"\n")
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flushErr := errors.New("disk full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, `{"seq":8,"rec`); err != nil {
+			return err
+		}
+		return flushErr
+	})
+	if !errors.Is(err, flushErr) {
+		t.Fatalf("writeFileAtomic error = %v, want %v", err, flushErr)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("old state file not preserved after a failed flush: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("failed flush left %d files in the directory, want only the state file", len(entries))
+	}
+
+	want := `{"seq":8,"records":[]}` + "\n"
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, want)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("state file after a good flush = %q, %v; want %q", got, err, want)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o600 {
+		t.Fatalf("state file mode after a good flush = %v, want 0600", fi.Mode().Perm())
 	}
 }

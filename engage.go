@@ -188,11 +188,6 @@ type System struct {
 	Cache    *pkgmgr.Cache
 	// Parallel enables virtual-time parallel deployment.
 	Parallel bool
-	// Parallelism bounds the real (wall-clock) worker pools across the
-	// whole pipeline: hypergraph generation, constraint emission, the
-	// SAT portfolio width, spec build and port propagation, and
-	// deployment preparation. ≤ 0 runs the sequential reference path.
-	Parallelism int
 	// OnFailure selects what a failing deployment does: abort (default),
 	// retry with backoff, or retry then roll the world back.
 	OnFailure FailurePolicy
@@ -268,7 +263,6 @@ func NewSystemFromRDL(sources map[string]string) (*System, error) {
 // telemetry.
 func (s *System) engine() *config.Engine {
 	e := config.New(s.Registry)
-	e.Parallelism = s.Parallelism
 	e.Tracer = s.Tracer
 	e.Metrics = s.Metrics
 	return e
@@ -315,7 +309,6 @@ func (s *System) options() deploy.Options {
 		Index:            s.Index,
 		Cache:            s.Cache,
 		Parallel:         s.Parallel,
-		Parallelism:      s.Parallelism,
 		ProvisionMissing: true,
 		OSOf:             library.OSOf,
 		OnFailure:        s.OnFailure,

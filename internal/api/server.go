@@ -73,9 +73,6 @@ type Options struct {
 	Tracer *telemetry.Tracer
 	// PoolIdle caps idle warm sessions per request shape (default 4).
 	PoolIdle int
-	// Parallelism is handed to every engine and deployment the server
-	// builds; 0 is the sequential deterministic path.
-	Parallelism int
 	// Now stamps uptime in /v1/status; nil uses time.Now. Tests pin it.
 	Now func() time.Time
 }
@@ -181,7 +178,6 @@ func (s *Server) PoolStats() PoolStats { return s.pool.Stats() }
 // sessions, metrics) is shared and concurrency-safe.
 func (s *Server) engine() *config.Engine {
 	e := config.New(s.opts.Registry)
-	e.Parallelism = s.opts.Parallelism
 	e.Tracer = s.tracer
 	e.Metrics = s.metrics
 	return e
@@ -197,7 +193,6 @@ func (s *Server) deployOptions(w *machine.World) deploy.Options {
 		World:            w,
 		Index:            s.opts.Index,
 		Cache:            pkgmgr.NewCache(),
-		Parallelism:      s.opts.Parallelism,
 		ProvisionMissing: true,
 		OSOf:             s.opts.OSOf,
 		Tracer:           s.tracer,

@@ -99,16 +99,7 @@ func TestCheckerFuzz(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		f := randomCNF(rng)
 
-		var res sat.Result
-		if seed%3 == 0 {
-			// Every third seed solves through the certified portfolio so
-			// shared-proof logging (flush-before-publish, suppressed
-			// deletes, loser discard) is fuzzed too.
-			pr := sat.SolvePortfolioCertified(f, 4, 0)
-			res = pr.Result
-		} else {
-			res = (&sat.CDCL{LogProof: true}).Solve(f)
-		}
+		res := (&sat.CDCL{LogProof: true}).Solve(f)
 
 		switch res.Status {
 		case sat.Sat:

@@ -45,7 +45,7 @@ func (e *Engine) Alternatives(partial *spec.Partial, limit int) ([]*spec.Full, e
 	root.Int("models", int64(len(models)))
 	out := make([]*spec.Full, 0, len(models))
 	for _, model := range models {
-		full, err := e.build(g, partial, prob.Selected(model))
+		full, _, err := e.build(g, prob.Selected(model))
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ package config
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -33,31 +32,10 @@ type Engine struct {
 	Registry *resource.Registry
 	Solver   sat.Solver
 	Encoding constraint.Encoding
-	// SkipCheck disables the final CheckSpec pass (used only by
-	// benchmarks isolating solver cost).
-	SkipCheck bool
-	// Parallelism governs the whole pipeline: it bounds the worker
-	// pools for hypergraph generation and constraint emission, sets the
-	// portfolio width for SAT solving, and bounds the worker pools for
-	// spec build and port propagation. Values ≤ 0 run the sequential
-	// reference path. The front half's output is byte-identical at any
-	// parallelism; the back half solves through a racing portfolio
-	// whose winning model is canonicalized, so the full specification
-	// is byte-identical at any parallelism ≥ 1 (and, after
-	// canonicalization, to the sequential solver's canonicalized model
-	// — see internal/workload's differential suites). Note the
-	// sequential path (0) skips canonicalization and may therefore pick
-	// a different — equally valid — model than parallel runs.
-	Parallelism int
-	// MeasureAllocs additionally fills the per-stage allocation
-	// counters in Stats via runtime.ReadMemStats deltas. Off by
-	// default: ReadMemStats stops the world.
-	MeasureAllocs bool
 	// Tracer, when non-nil, receives one span per pipeline stage
 	// (config.graph / config.encode / config.solve / config.build under
-	// a "config" root), wave and shard progress events, and one
-	// "sat.solve" event per incremental re-solve in Alternatives and
-	// ConfigureMinimal. For these stages wall time is authoritative —
+	// a "config" root) and one "sat.solve" event per incremental
+	// re-solve in Alternatives and ConfigureMinimal. For these stages wall time is authoritative —
 	// nothing advances the virtual clock during configuration.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, absorbs Stats (see Stats.Publish) plus
@@ -89,48 +67,14 @@ type Stats struct {
 	Clauses    int
 	Solver     sat.Stats
 	// Per-stage wall clock: hypergraph generation, constraint
-	// encoding, SAT solving (portfolio + canonicalization when
-	// parallel), and build+propagate+check. PropagateWall is the port
-	// propagation slice of BuildWall, broken out so the back-half
-	// benches can report it separately.
+	// encoding, SAT solving, and build+propagate+check. PropagateWall
+	// is the port propagation slice of BuildWall, broken out so the
+	// back-half benches can report it separately.
 	GraphWall     time.Duration
 	EncodeWall    time.Duration
 	SolveWall     time.Duration
 	BuildWall     time.Duration
 	PropagateWall time.Duration
-	// Per-stage heap allocation deltas (bytes), filled only when
-	// Engine.MeasureAllocs is set.
-	GraphAlloc  uint64
-	EncodeAlloc uint64
-	SolveAlloc  uint64
-	BuildAlloc  uint64
-}
-
-// stageMeter times one pipeline stage and, optionally, its allocations.
-type stageMeter struct {
-	measureAllocs bool
-	start         time.Time
-	startAlloc    uint64
-}
-
-func startStage(measureAllocs bool) stageMeter {
-	m := stageMeter{measureAllocs: measureAllocs}
-	if measureAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		m.startAlloc = ms.TotalAlloc
-	}
-	m.start = time.Now()
-	return m
-}
-
-func (m stageMeter) stop(wall *time.Duration, alloc *uint64) {
-	*wall = time.Since(m.start)
-	if m.measureAllocs {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		*alloc = ms.TotalAlloc - m.startAlloc
-	}
 }
 
 // UnsatError is returned when no full installation specification extends
@@ -200,9 +144,9 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	}()
 
 	sp := root.Child("config.graph")
-	m := startStage(e.MeasureAllocs)
-	g, err := hypergraph.GenerateOpts(e.Registry, partial, hypergraph.Options{Parallelism: e.Parallelism, Span: sp})
-	m.stop(&st.GraphWall, &st.GraphAlloc)
+	t0 := time.Now()
+	g, err := hypergraph.Generate(e.Registry, partial)
+	st.GraphWall = time.Since(t0)
 	if err != nil {
 		sp.End()
 		return nil, st, err
@@ -212,14 +156,9 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	sp.Int("nodes", int64(st.GraphNodes)).Int("edges", int64(st.GraphEdges)).End()
 
 	sp = root.Child("config.encode")
-	m = startStage(e.MeasureAllocs)
-	var prob *constraint.Problem
-	if e.Parallelism > 0 {
-		prob = constraint.EncodeParallelTraced(g, e.Encoding, e.Parallelism, sp)
-	} else {
-		prob = constraint.Encode(g, e.Encoding)
-	}
-	m.stop(&st.EncodeWall, &st.EncodeAlloc)
+	t0 = time.Now()
+	prob := constraint.Encode(g, e.Encoding)
+	st.EncodeWall = time.Since(t0)
 	st.Vars = prob.Formula.NumVars
 	st.Clauses = len(prob.Formula.Clauses)
 	sp.Int("vars", int64(st.Vars)).Int("clauses", int64(st.Clauses)).End()
@@ -228,26 +167,12 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	if solver == nil {
 		solver = sat.NewCDCL()
 	}
-	_, isCDCL := solver.(*sat.CDCL)
 	sp = root.Child("config.solve").Str("solver", solver.Name())
-	m = startStage(e.MeasureAllocs)
-	var res sat.Result
-	var solveErr error
-	if e.Parallelism > 0 && isCDCL {
-		// Portfolio solve: Parallelism diversified workers race on the
-		// formula; the winning model is canonicalized on the winner's
-		// warm session so the answer is deterministic regardless of
-		// which worker won (and of the portfolio width).
-		res, solveErr = e.solvePortfolio(g, prob, sp)
-	} else {
-		res = solver.Solve(prob.Formula)
-	}
-	m.stop(&st.SolveWall, &st.SolveAlloc)
+	t0 = time.Now()
+	res := solver.Solve(prob.Formula)
+	st.SolveWall = time.Since(t0)
 	st.Solver = res.Stats
 	spanSolverStats(sp, res).End()
-	if solveErr != nil {
-		return nil, st, solveErr
-	}
 	switch res.Status {
 	case sat.Sat:
 	case sat.Unsat:
@@ -257,64 +182,18 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	}
 
 	sp = root.Child("config.build")
-	m = startStage(e.MeasureAllocs)
-	selected := prob.Selected(res.Model)
-	full, bt, err := e.buildOpts(g, partial, selected, e.Parallelism, sp)
-	st.PropagateWall = bt.propagate
+	t0 = time.Now()
+	full, st.PropagateWall, err = e.build(g, prob.Selected(res.Model))
+	if err == nil {
+		err = e.check(full)
+	}
+	st.BuildWall = time.Since(t0)
 	if err != nil {
-		m.stop(&st.BuildWall, &st.BuildAlloc)
 		sp.End()
 		return nil, st, err
 	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			m.stop(&st.BuildWall, &st.BuildAlloc)
-			sp.End()
-			return nil, st, err
-		}
-	}
-	m.stop(&st.BuildWall, &st.BuildAlloc)
 	sp.Int("instances", int64(len(full.Instances))).End()
 	return full, st, nil
-}
-
-// solvePortfolio is the parallel solve stage: a racing portfolio of
-// e.Parallelism CDCL workers followed by canonicalization of the
-// winning model over the instance variables in graph order. It emits
-// one "solve.portfolio" event per worker on sp (the winner's effort,
-// and each loser's effort at the moment the stop flag cancelled it)
-// and stamps the portfolio shape onto sp itself.
-func (e *Engine) solvePortfolio(g *hypergraph.Graph, prob *constraint.Problem, sp *telemetry.Span) (sat.Result, error) {
-	pr := sat.SolvePortfolio(prob.Formula, e.Parallelism)
-	for _, w := range pr.Workers {
-		sp.Event("solve.portfolio").
-			Int("worker", int64(w.Worker)).
-			Bool("winner", w.Winner).
-			Str("status", w.Status.String()).
-			Int("restarts", w.Stats.Restarts).
-			Int("conflicts", w.Stats.Conflicts).
-			Int("decisions", w.Stats.Decisions).
-			Int("shared_in", w.SharedIn).
-			Int("shared_out", w.SharedOut).
-			Emit()
-	}
-	sp.Int("portfolio_workers", int64(len(pr.Workers))).Int("portfolio_winner", int64(pr.Winner))
-	res := pr.Result
-	res.Stats = pr.TotalStats() // honest effort: all workers, not just the winner
-	if res.Status != sat.Sat {
-		return res, nil
-	}
-	order := make([]int, 0, len(g.Order))
-	for _, id := range g.Order {
-		order = append(order, prob.VarOf[id])
-	}
-	canon, solves, err := sat.CanonicalModel(pr.Session(), res.Model, order)
-	if err != nil {
-		return res, fmt.Errorf("config: canonicalizing portfolio model: %w", err)
-	}
-	sp.Int("canon_solves", int64(solves))
-	res.Model = canon
-	return res, nil
 }
 
 // spanSolverStats stamps one solve's effort onto a span.
@@ -384,25 +263,55 @@ func (e *Engine) observeSolves(sp *telemetry.Span) func([]sat.Lit, sat.Result) {
 	}
 }
 
-// checkAfterBuild validates an engine-generated specification.
-func checkAfterBuild(e *Engine, full *spec.Full) error {
+// build assembles the full specification from the solved selection
+// and propagates port values. It also returns the wall time of port
+// propagation.
+func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Full, time.Duration, error) {
+	full := &spec.Full{}
+	byID := make(map[string]*spec.Instance, len(g.Order))
+	for _, n := range g.Nodes() {
+		if selected[n.ID] {
+			inst := instanceFromNode(n)
+			full.Instances = append(full.Instances, inst)
+			byID[inst.ID] = inst
+		}
+	}
+	for _, edge := range g.Edges {
+		src := byID[edge.Source]
+		if src == nil {
+			continue // source not deployed
+		}
+		target, err := constraint.ChosenTarget(edge, selected)
+		if err != nil {
+			return nil, 0, err
+		}
+		src.Deps = append(src.Deps, spec.DepLink{
+			Class:          edge.Class,
+			Target:         target,
+			PortMap:        edge.PortMap,
+			ReversePortMap: edge.ReversePortMap,
+		})
+	}
+
+	t0 := time.Now()
+	err := e.propagate(full, byID)
+	wall := time.Since(t0)
+	if err != nil {
+		return nil, wall, err
+	}
+	return full, wall, nil
+}
+
+// check validates an engine-generated specification.
+func (e *Engine) check(full *spec.Full) error {
 	if err := typecheck.CheckSpec(e.Registry, full); err != nil {
 		return fmt.Errorf("config: generated specification fails static checking: %w", err)
 	}
 	return nil
 }
 
-// build assembles the full specification from the solved selection and
-// propagates port values (the sequential reference path; the parallel
-// pipeline goes through buildOpts, see parallel.go).
-func (e *Engine) build(g *hypergraph.Graph, partial *spec.Partial, selected map[string]bool) (*spec.Full, error) {
-	full, _, err := e.buildOpts(g, partial, selected, 0, nil)
-	return full, err
-}
-
 // instanceFromNode materializes one selected graph node as a spec
-// instance. Pure per-node work — the parallel build runs it
-// concurrently for distinct nodes.
+// instance.
 func instanceFromNode(n *hypergraph.Node) *spec.Instance {
 	inst := &spec.Instance{
 		ID:      n.ID,
@@ -423,10 +332,7 @@ func instanceFromNode(n *hypergraph.Node) *spec.Instance {
 // instantiation time and may flow in reverse), then a linear pass in
 // topological order filling input ports from upstream outputs, config
 // ports from overrides or defaults, and output ports from their
-// definitions (§4, final paragraph). This is the sequential reference;
-// propagateParallel (parallel.go) runs the same three passes with the
-// first and third fanned out over a worker pool, and falls back to
-// this walk on error so error messages stay identical.
+// definitions (§4, final paragraph).
 func (e *Engine) propagate(full *spec.Full, byID map[string]*spec.Instance) error {
 	// Pass 0: static config and output ports.
 	for _, inst := range full.Instances {
@@ -453,7 +359,6 @@ func (e *Engine) propagate(full *spec.Full, byID map[string]*spec.Instance) erro
 }
 
 // propagateStatic fills one instance's static config and output ports.
-// It reads and writes only inst.
 func (e *Engine) propagateStatic(inst *spec.Instance) error {
 	t := e.Registry.MustLookup(inst.Key)
 	for _, p := range t.Config {
@@ -486,8 +391,7 @@ func (e *Engine) propagateStatic(inst *spec.Instance) error {
 }
 
 // propagateReverse applies reverse flows: static outputs of dependents
-// feed dependee inputs. Writes cross instance boundaries, so this pass
-// stays serial even in the parallel pipeline.
+// feed dependee inputs.
 func (e *Engine) propagateReverse(full *spec.Full, byID map[string]*spec.Instance) error {
 	for _, inst := range full.Instances {
 		for _, l := range inst.Deps {
@@ -510,9 +414,7 @@ func (e *Engine) propagateReverse(full *spec.Full, byID map[string]*spec.Instanc
 // propagateNode runs the main propagation pass for one instance whose
 // dependencies have all been propagated: inputs from upstream outputs,
 // config ports from overrides or defaults, output ports from their
-// definitions. It writes only to inst and reads upstream instances'
-// Output maps — which the wave schedule guarantees are complete and
-// no longer written.
+// definitions.
 func (e *Engine) propagateNode(inst *spec.Instance, byID map[string]*spec.Instance) error {
 	t := e.Registry.MustLookup(inst.Key)
 

@@ -182,13 +182,20 @@ func TestConfigureErrorPaths(t *testing.T) {
 		},
 	}
 
-	for _, parallelism := range []int{0, 4} {
+	// The second pass re-runs Configure on the same engine and partial
+	// (the self-healing retry path): the error must not drift once the
+	// engine has seen the failure and cached its unsat explanation.
+	for _, retry := range []bool{false, true} {
 		for _, tc := range tests {
-			tc := tc
+			tc, retry := tc, retry
 			t.Run(tc.name, func(t *testing.T) {
 				reg, p := tc.setup(t)
 				eng := New(reg)
-				eng.Parallelism = parallelism
+				if retry {
+					if _, err := eng.Configure(p); err == nil {
+						t.Fatalf("first Configure succeeded, want error %q", tc.wantErr)
+					}
+				}
 				_, err := eng.Configure(p)
 				if err == nil {
 					t.Fatalf("Configure succeeded, want error %q", tc.wantErr)

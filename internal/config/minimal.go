@@ -71,14 +71,12 @@ func (e *Engine) ConfigureMinimal(partial *spec.Partial) (*spec.Full, error) {
 		}
 	}
 
-	full, err := e.build(g, partial, prob.Selected(model))
+	full, _, err := e.build(g, prob.Selected(model))
+	if err == nil {
+		err = e.check(full)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, err
-		}
 	}
 	return full, nil
 }

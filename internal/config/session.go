@@ -63,14 +63,12 @@ func (e *Engine) ConfigureSessionStats(partial *spec.Partial) (*spec.Full, *Sess
 		return nil, nil, res.Stats, fmt.Errorf("config: solver %q gave up", solver.Name())
 	}
 
-	full, err := e.build(g, partial, prob.Selected(res.Model))
+	full, _, err := e.build(g, prob.Selected(res.Model))
+	if err == nil {
+		err = e.check(full)
+	}
 	if err != nil {
 		return nil, nil, res.Stats, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, nil, res.Stats, err
-		}
 	}
 	root.Int("instances", int64(len(full.Instances)))
 	return full, &Session{Graph: g, Problem: prob, Inc: inc, Model: res.Model}, res.Stats, nil
@@ -97,14 +95,12 @@ func (s *Session) Resolve(e *Engine, partial *spec.Partial) (*spec.Full, sat.Sta
 		s.Model = res.Model
 		st = res.Stats
 	}
-	full, err := e.build(s.Graph, partial, s.Problem.Selected(s.Model))
+	full, _, err := e.build(s.Graph, s.Problem.Selected(s.Model))
+	if err == nil {
+		err = e.check(full)
+	}
 	if err != nil {
 		return nil, st, err
-	}
-	if !e.SkipCheck {
-		if err := checkAfterBuild(e, full); err != nil {
-			return nil, st, err
-		}
 	}
 	return full, st, nil
 }

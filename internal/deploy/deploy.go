@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"engage/internal/conc"
 	"engage/internal/driver"
 	"engage/internal/machine"
 	"engage/internal/pkgmgr"
@@ -33,13 +32,6 @@ type Options struct {
 	// time: total elapsed time is the dependency-graph critical path
 	// rather than the sum of all action durations.
 	Parallel bool
-	// Parallelism bounds the worker pool used for real (wall-clock)
-	// concurrency in deployment preparation: driver instantiation in
-	// New and per-machine plan batching in PlanByMachine. Values ≤ 1
-	// run sequentially. Orthogonal to Parallel, which concerns virtual
-	// time. Driver factories must be safe to invoke concurrently for
-	// distinct instances (the built-in and declarative factories are).
-	Parallelism int
 	// ProvisionMissing creates world machines for machine instances not
 	// already present, using OSOf to derive the OS identifier.
 	ProvisionMissing bool
@@ -153,55 +145,34 @@ func New(full *spec.Full, opts Options) (*Deployment, error) {
 		d.managers[inst.ID] = pkgmgr.NewManager(opts.Index, opts.Cache, m)
 	}
 
-	// Drivers for every instance. Instantiation is independent
-	// per-instance work (resolve the type, build and validate the state
-	// machine), so it fans out over a worker pool; the serial fan-in
-	// keeps dependency order and reports the first error in that order,
-	// exactly like a sequential loop.
-	type drvSlot struct {
-		drv *driver.Driver
-		err error
-	}
-	slots := make([]drvSlot, len(order))
-	conc.ParallelFor(len(order), opts.Parallelism, func(i int) {
-		inst := order[i]
+	// Drivers for every instance, in dependency order.
+	for _, inst := range order {
 		mname := inst.Machine
 		if mname == "" {
 			mname = inst.ID
 		}
 		m, ok := opts.World.Machine(mname)
 		if !ok {
-			slots[i].err = fmt.Errorf("deploy: instance %q: machine %q missing", inst.ID, mname)
-			return
+			return nil, fmt.Errorf("deploy: instance %q: machine %q missing", inst.ID, mname)
 		}
 		mgr := d.managers[mname]
 		if mgr == nil {
-			slots[i].err = fmt.Errorf("deploy: instance %q: no package manager for machine %q", inst.ID, mname)
-			return
+			return nil, fmt.Errorf("deploy: instance %q: no package manager for machine %q", inst.ID, mname)
 		}
 		t, ok := opts.Registry.Lookup(inst.Key)
 		if !ok {
-			slots[i].err = fmt.Errorf("deploy: instance %q: unknown resource type %q", inst.ID, inst.Key)
-			return
+			return nil, fmt.Errorf("deploy: instance %q: unknown resource type %q", inst.ID, inst.Key)
 		}
 		factory, err := opts.Drivers.Resolve(t)
 		if err != nil {
-			slots[i].err = err
-			return
+			return nil, err
 		}
 		ctx := &driver.Context{Instance: inst, Machine: m, PkgMgr: mgr}
 		sm := factory(ctx)
 		if err := sm.Validate(); err != nil {
-			slots[i].err = fmt.Errorf("deploy: instance %q: %v", inst.ID, err)
-			return
+			return nil, fmt.Errorf("deploy: instance %q: %v", inst.ID, err)
 		}
-		slots[i].drv = driver.NewDriver(sm, ctx)
-	})
-	for i, inst := range order {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-		d.drivers[inst.ID] = slots[i].drv
+		d.drivers[inst.ID] = driver.NewDriver(sm, ctx)
 	}
 	return d, nil
 }
@@ -570,16 +541,8 @@ type PlannedAction struct {
 // plan lists, in dependency order, each driver's shortest action path to
 // active.
 func (d *Deployment) Plan() []PlannedAction {
-	return d.planInstances(d.order)
-}
-
-// planInstances computes the dry-run action sequence for a subset of
-// instances, in the given order. Each instance's path depends only on
-// its own driver's current state, so disjoint subsets can be planned
-// concurrently.
-func (d *Deployment) planInstances(insts []*spec.Instance) []PlannedAction {
 	var plan []PlannedAction
-	for _, inst := range insts {
+	for _, inst := range d.order {
 		drv := d.drivers[inst.ID]
 		cur := drv.State()
 		path := drv.SM.PathTo(cur, driver.Active)
@@ -597,36 +560,6 @@ func (d *Deployment) planInstances(insts []*spec.Instance) []PlannedAction {
 		}
 	}
 	return plan
-}
-
-// PlanByMachine computes each machine's dry-run action batch — the
-// subsequence of Plan whose instances run on that machine, in the same
-// dependency order — fanning the per-machine computation over a worker
-// pool of the given width (≤ 1 = sequential). Concatenating the
-// batches machine-by-machine partitions Plan exactly; the multi-host
-// coordinator ships one batch per slave.
-func (d *Deployment) PlanByMachine(workers int) map[string][]PlannedAction {
-	var machines []string
-	grouped := make(map[string][]*spec.Instance)
-	for _, inst := range d.order {
-		mname := inst.Machine
-		if mname == "" {
-			mname = inst.ID
-		}
-		if _, ok := grouped[mname]; !ok {
-			machines = append(machines, mname)
-		}
-		grouped[mname] = append(grouped[mname], inst)
-	}
-	batches := make([][]PlannedAction, len(machines))
-	conc.ParallelFor(len(machines), workers, func(i int) {
-		batches[i] = d.planInstances(grouped[machines[i]])
-	})
-	out := make(map[string][]PlannedAction, len(machines))
-	for i, m := range machines {
-		out[m] = batches[i]
-	}
-	return out
 }
 
 // Adopt marks instances of this (not yet deployed) deployment as

@@ -5,11 +5,11 @@
 // nodes are resource instances and whose hyperedges represent
 // dependencies between them.
 //
-// Two generators produce the same graph: Generate is the sequential
-// reference implementation, a direct transcription of the paper's
-// worklist algorithm; GenerateOpts with Options.Parallelism ≥ 1 runs the
-// wave-parallel generator (parallel.go), which is proven byte-identical
-// to Generate by the differential suite in internal/workload.
+// Generate is a direct transcription of the paper's sequential worklist
+// algorithm. Its first-match lookups go through a per-call memo
+// (matchCache, frontierMemo); the differential suite proves the result
+// byte-identical to a naive rescan of the node list, which lives in
+// naive_test.go as the test oracle.
 package hypergraph
 
 import (
@@ -100,17 +100,35 @@ func (g *Graph) add(n *Node) {
 // (new instances conservatively land on the dependent's machine); and
 // no new machines are ever created.
 func Generate(reg *resource.Registry, partial *spec.Partial) (*Graph, error) {
+	return generate(reg, partial, func(g *Graph, sub *resource.Subtyper) resolver {
+		return &memoResolver{match: newMatchCache(g, sub), fr: newFrontierMemo(reg)}
+	})
+}
+
+// generator is one GraphGen run: the graph being built, the registry,
+// the subtype relation, and the resolver answering lookups.
+type generator struct {
+	g   *Graph
+	reg *resource.Registry
+	sub *resource.Subtyper
+	r   resolver
+}
+
+// generate runs GraphGen with the resolver newResolver builds over the
+// graph: pass 1 (initFromPartial), then pass 2, the FIFO worklist
+// starting from the spec nodes, with every created node queued behind
+// them.
+func generate(reg *resource.Registry, partial *spec.Partial, newResolver func(*Graph, *resource.Subtyper) resolver) (*Graph, error) {
 	g, worklist, err := initFromPartial(reg, partial)
 	if err != nil {
 		return nil, err
 	}
-	r := &graphResolver{g: g, sub: resource.NewSubtyper(reg), frontierFn: reg.Frontier}
-
-	// Pass 2: worklist processing.
+	sub := resource.NewSubtyper(reg)
+	gen := &generator{g: g, reg: reg, sub: sub, r: newResolver(g, sub)}
 	for len(worklist) > 0 {
 		id := worklist[0]
 		worklist = worklist[1:]
-		edges, created, err := processNode(r, reg, g.nodes[id])
+		edges, created, err := gen.processNode(g.nodes[id])
 		if err != nil {
 			return nil, err
 		}
@@ -153,12 +171,10 @@ func initFromPartial(reg *resource.Registry, partial *spec.Partial) (*Graph, []s
 	return g, worklist, nil
 }
 
-// resolver provides the graph-state queries and mutations the per-node
-// expansion step needs. Implementations: graphResolver (sequential
-// generation and the parallel generator's redo path) and overlay
-// (parallel speculation against a frozen snapshot).
+// resolver answers the lookups of the per-node expansion step against
+// the graph being built. Generate uses memoResolver; the naive rescan
+// in naive_test.go is the oracle it is tested against.
 type resolver interface {
-	node(id string) (*Node, bool)
 	// findMatch returns the first node in creation order whose key is a
 	// subtype of k, excluding source. machine == "" searches all
 	// machines (peer dependencies); otherwise only nodes on that
@@ -167,73 +183,128 @@ type resolver interface {
 	// findContainer returns the first node in creation order on the
 	// machine whose key satisfies one of the inside alternatives.
 	findContainer(machine string, alts []resource.Key) string
-	// freshID derives the deterministic unique ID a new (key, machine)
-	// node would get.
-	freshID(k resource.Key, machine string) string
-	addNode(n *Node)
-	subtyper() resource.SubtypeChecker
 	frontier(k resource.Key) ([]resource.Key, error)
 }
 
-// graphResolver resolves directly against a live graph; it is the
-// resolver of the sequential reference path.
-type graphResolver struct {
-	g          *Graph
-	sub        resource.SubtypeChecker
-	frontierFn func(resource.Key) ([]resource.Key, error)
+// memoResolver answers first-match queries through a matchCache and
+// frontier queries through a frontierMemo. Both memos are created by
+// one Generate call and never leave it.
+type memoResolver struct {
+	match *matchCache
+	fr    *frontierMemo
 }
 
-func (r *graphResolver) node(id string) (*Node, bool) { return r.g.Node(id) }
+func (r *memoResolver) findMatch(k resource.Key, machine, source string) string {
+	id, _ := r.match.query(k, machine, source)
+	return id
+}
 
-func (r *graphResolver) findMatch(k resource.Key, machine, source string) string {
-	for _, id := range r.g.Order {
-		if id == source {
-			continue
-		}
-		node := r.g.nodes[id]
-		if machine != "" && node.Machine != machine {
-			continue
-		}
-		if r.sub.IsSubtype(node.Key, k) {
-			return id
+// findContainer takes the earliest of the per-alternative first
+// matches, which is the first node matching any alternative.
+func (r *memoResolver) findContainer(machine string, alts []resource.Key) string {
+	best, bestIdx := "", -1
+	for _, a := range alts {
+		if id, idx := r.match.query(a, machine, ""); id != "" && (bestIdx < 0 || idx < bestIdx) {
+			best, bestIdx = id, idx
 		}
 	}
-	return ""
+	return best
 }
 
-func (r *graphResolver) findContainer(machine string, alts []resource.Key) string {
-	for _, cid := range r.g.Order {
-		c := r.g.nodes[cid]
-		if c.Machine != machine {
-			continue
+func (r *memoResolver) frontier(k resource.Key) ([]resource.Key, error) {
+	return r.fr.frontier(k)
+}
+
+// matchCache memoizes first-match resolution over the append-only node
+// list. For each (key, machine) pair it remembers the first two
+// matching nodes and how far its scan got; a query resumes the scan
+// instead of restarting it, so resolving a given pair costs one
+// amortized pass over the node list no matter how many dependency
+// disjuncts ask. Two matches suffice because a query excludes at most
+// one node (the dependent itself).
+type matchCache struct {
+	g   *Graph
+	sub *resource.Subtyper
+	m   map[matchKey]*matchEntry
+}
+
+type matchKey struct {
+	key     resource.Key
+	machine string // "" = any machine
+}
+
+type matchEntry struct {
+	ids     [2]string
+	idxs    [2]int
+	n       int // filled entries of ids/idxs
+	scanned int // g.Order[:scanned] has been scanned
+}
+
+func newMatchCache(g *Graph, sub *resource.Subtyper) *matchCache {
+	return &matchCache{g: g, sub: sub, m: make(map[matchKey]*matchEntry)}
+}
+
+// query returns the first node in creation order whose key is a subtype
+// of k (restricted to the machine when non-empty), excluding source,
+// together with its position in creation order; ("", -1) when there is
+// none.
+func (c *matchCache) query(k resource.Key, machine, source string) (string, int) {
+	mk := matchKey{key: k, machine: machine}
+	e := c.m[mk]
+	if e == nil {
+		e = &matchEntry{}
+		c.m[mk] = e
+	}
+	for e.n < 2 && e.scanned < len(c.g.Order) {
+		id := c.g.Order[e.scanned]
+		n := c.g.nodes[id]
+		if (machine == "" || n.Machine == machine) && c.sub.IsSubtype(n.Key, k) {
+			e.ids[e.n] = id
+			e.idxs[e.n] = e.scanned
+			e.n++
 		}
-		if matchesAny(r.sub, c.Key, alts) {
-			return cid
+		e.scanned++
+	}
+	for i := 0; i < e.n; i++ {
+		if e.ids[i] != source {
+			return e.ids[i], e.idxs[i]
 		}
 	}
-	return ""
+	return "", -1
 }
 
-func (r *graphResolver) freshID(k resource.Key, machine string) string {
-	return freshIDIn(k, machine, func(id string) bool {
-		_, taken := r.g.nodes[id]
-		return taken
-	})
+// frontierMemo memoizes Registry.Frontier, which is a pure function of
+// the registry. Callers must not mutate the returned slice.
+type frontierMemo struct {
+	reg *resource.Registry
+	m   map[resource.Key]frontierResult
 }
 
-func (r *graphResolver) addNode(n *Node)                   { r.g.add(n) }
-func (r *graphResolver) subtyper() resource.SubtypeChecker { return r.sub }
-func (r *graphResolver) frontier(k resource.Key) ([]resource.Key, error) {
-	return r.frontierFn(k)
+type frontierResult struct {
+	keys []resource.Key
+	err  error
+}
+
+func newFrontierMemo(reg *resource.Registry) *frontierMemo {
+	return &frontierMemo{reg: reg, m: make(map[resource.Key]frontierResult)}
+}
+
+func (f *frontierMemo) frontier(k resource.Key) ([]resource.Key, error) {
+	if r, ok := f.m[k]; ok {
+		return r.keys, r.err
+	}
+	keys, err := f.reg.Frontier(k)
+	f.m[k] = frontierResult{keys: keys, err: err}
+	return keys, err
 }
 
 // processNode runs one worklist step for node n: its inside check plus
 // the resolution of every environment and peer dependency. Newly created
-// nodes are added through the resolver as they appear (later disjuncts
-// may match them); the hyperedges and the created IDs are returned in
-// emission order so callers append both deterministically.
-func processNode(r resolver, reg *resource.Registry, n *Node) ([]Hyperedge, []string, error) {
-	t := reg.MustLookup(n.Key)
+// nodes are added to the graph as they appear (later disjuncts may match
+// them); the hyperedges and the created IDs are returned in emission
+// order so the worklist appends both deterministically.
+func (gen *generator) processNode(n *Node) ([]Hyperedge, []string, error) {
+	t := gen.reg.MustLookup(n.Key)
 	var edges []Hyperedge
 	var created []string
 
@@ -242,11 +313,11 @@ func processNode(r resolver, reg *resource.Registry, n *Node) ([]Hyperedge, []st
 		if n.Inside == "" {
 			return nil, nil, fmt.Errorf("hypergraph: instance %q (type %q) has an unresolved inside dependency", n.ID, n.Key)
 		}
-		container, ok := r.node(n.Inside)
+		container, ok := gen.g.Node(n.Inside)
 		if !ok {
 			return nil, nil, fmt.Errorf("hypergraph: instance %q: container %q not in specification", n.ID, n.Inside)
 		}
-		if !matchesAny(r.subtyper(), container.Key, t.Inside.Alternatives) {
+		if !matchesAny(gen.sub, container.Key, t.Inside.Alternatives) {
 			return nil, nil, fmt.Errorf("hypergraph: instance %q: container %q (type %q) does not satisfy inside dependency %s",
 				n.ID, container.ID, container.Key, t.Inside)
 		}
@@ -261,7 +332,7 @@ func processNode(r resolver, reg *resource.Registry, n *Node) ([]Hyperedge, []st
 
 	// Environment dependencies: targets on the same machine.
 	for _, d := range t.Env {
-		edge, made, err := resolveDep(r, reg, n, d, resource.DepEnv)
+		edge, made, err := gen.resolveDep(n, d, resource.DepEnv)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -271,7 +342,7 @@ func processNode(r resolver, reg *resource.Registry, n *Node) ([]Hyperedge, []st
 
 	// Peer dependencies: targets anywhere; new nodes on n's machine.
 	for _, d := range t.Peer {
-		edge, made, err := resolveDep(r, reg, n, d, resource.DepPeer)
+		edge, made, err := gen.resolveDep(n, d, resource.DepPeer)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -285,12 +356,10 @@ func processNode(r resolver, reg *resource.Registry, n *Node) ([]Hyperedge, []st
 // each (frontier-expanded) disjunct, find a matching existing node or
 // create a new instance. Returns the hyperedge and the IDs of newly
 // created nodes.
-func resolveDep(r resolver, reg *resource.Registry,
-	n *Node, d resource.Dependency, class resource.DependencyClass) (Hyperedge, []string, error) {
-
+func (gen *generator) resolveDep(n *Node, d resource.Dependency, class resource.DependencyClass) (Hyperedge, []string, error) {
 	var concrete []resource.Key
 	for _, alt := range d.Alternatives {
-		frontier, err := r.frontier(alt)
+		frontier, err := gen.r.frontier(alt)
 		if err != nil {
 			return Hyperedge{}, nil, fmt.Errorf("hypergraph: instance %q: %v", n.ID, err)
 		}
@@ -310,10 +379,10 @@ func resolveDep(r resolver, reg *resource.Registry,
 	var created []string
 	seen := make(map[string]bool)
 	for _, k := range concrete {
-		target := r.findMatch(k, machineScope, n.ID)
+		target := gen.r.findMatch(k, machineScope, n.ID)
 		if target == "" {
 			var err error
-			target, err = createNode(r, reg, k, n.Machine)
+			target, err = gen.createNode(k, n.Machine)
 			if err != nil {
 				return Hyperedge{}, nil, fmt.Errorf("hypergraph: resolving %s dependency of %q: %v", class, n.ID, err)
 			}
@@ -331,25 +400,25 @@ func resolveDep(r resolver, reg *resource.Registry,
 // resolving its container: the machine itself when the type's inside
 // dependency admits it, otherwise an existing node on the machine whose
 // key satisfies the dependency.
-func createNode(r resolver, reg *resource.Registry, k resource.Key, machine string) (string, error) {
-	t, ok := reg.Lookup(k)
+func (gen *generator) createNode(k resource.Key, machine string) (string, error) {
+	t, ok := gen.reg.Lookup(k)
 	if !ok {
 		return "", fmt.Errorf("unknown resource type %q", k)
 	}
 	if t.Abstract {
 		return "", fmt.Errorf("abstract type %q cannot be instantiated", k)
 	}
-	id := r.freshID(k, machine)
+	id := gen.g.freshID(k, machine)
 	node := &Node{ID: id, Key: k, Machine: machine}
 	if t.Inside != nil {
-		mnode, ok := r.node(machine)
+		mnode, ok := gen.g.Node(machine)
 		if !ok {
 			return "", fmt.Errorf("no machine %q for new instance of %q", machine, k)
 		}
-		if matchesAny(r.subtyper(), mnode.Key, t.Inside.Alternatives) {
+		if matchesAny(gen.sub, mnode.Key, t.Inside.Alternatives) {
 			node.Inside = machine
 		} else {
-			container := r.findContainer(machine, t.Inside.Alternatives)
+			container := gen.r.findContainer(machine, t.Inside.Alternatives)
 			if container == "" {
 				return "", fmt.Errorf("no container on machine %q satisfying inside dependency %s of %q",
 					machine, t.Inside, k)
@@ -362,13 +431,13 @@ func createNode(r resolver, reg *resource.Registry, k resource.Key, machine stri
 		// machines are created (§2).
 		return "", fmt.Errorf("dependency on machine type %q cannot be auto-instantiated (no new machines)", k)
 	}
-	r.addNode(node)
+	gen.g.add(node)
 	return id, nil
 }
 
-// freshIDIn derives a deterministic unique node ID from a key and
-// machine, probing candidates against the given taken predicate.
-func freshIDIn(k resource.Key, machine string, taken func(string) bool) string {
+// freshID derives a deterministic unique node ID from a key and
+// machine.
+func (g *Graph) freshID(k resource.Key, machine string) string {
 	base := strings.ToLower(strings.ReplaceAll(k.Name, " ", "-"))
 	if k.Version != "" {
 		base += "-" + k.Version
@@ -378,7 +447,7 @@ func freshIDIn(k resource.Key, machine string, taken func(string) bool) string {
 	}
 	id := base
 	for i := 2; ; i++ {
-		if !taken(id) {
+		if _, taken := g.nodes[id]; !taken {
 			return id
 		}
 		id = fmt.Sprintf("%s#%d", base, i)
@@ -405,7 +474,7 @@ func (g *Graph) resolveMachine(id string) (string, error) {
 	}
 }
 
-func matchesAny(sub resource.SubtypeChecker, k resource.Key, alts []resource.Key) bool {
+func matchesAny(sub *resource.Subtyper, k resource.Key, alts []resource.Key) bool {
 	for _, a := range alts {
 		if sub.IsSubtype(k, a) {
 			return true

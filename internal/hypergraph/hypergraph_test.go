@@ -334,12 +334,11 @@ func TestLemma1(t *testing.T) {
 }
 
 func TestFreshIDCollision(t *testing.T) {
-	g := &Graph{nodes: make(map[string]*Node)}
-	taken := func(id string) bool { _, ok := g.nodes[id]; return ok }
+	g := NewGraph()
 	k := resource.MakeKey("JDK", "1.6")
-	id1 := freshIDIn(k, "server", taken)
+	id1 := g.freshID(k, "server")
 	g.add(&Node{ID: id1, Key: k})
-	id2 := freshIDIn(k, "server", taken)
+	id2 := g.freshID(k, "server")
 	if id1 == id2 {
 		t.Errorf("freshID returned duplicate %q", id1)
 	}

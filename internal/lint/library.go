@@ -75,7 +75,7 @@ func subjectOfProblem(reg *resource.Registry, msg string) (subject, pos string) 
 // sets.
 type libIndex struct {
 	reg      *resource.Registry
-	sub      resource.SubtypeChecker
+	sub      *resource.Subtyper
 	keys     []resource.Key
 	concrete []resource.Key
 	members  map[resource.Key][]resource.Key

@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file implements the subtyping relation ≤RT. Subtyping is
 // *declared* — "sub-resource types extend base resource type
@@ -76,13 +73,6 @@ func SubPortMap(sub, super map[string]string) bool {
 	return true
 }
 
-// SubtypeChecker is the query interface shared by Subtyper and
-// SharedSubtyper; consumers that only ask "is sub ≤RT super?" should
-// accept this so either checker can be plugged in.
-type SubtypeChecker interface {
-	IsSubtype(sub, super Key) bool
-}
-
 // Subtyper checks ≤RT over a registry, memoizing results. The relation
 // is used (a) by the hypergraph generator when matching an existing
 // instance against a dependency key, and (b) by the static checker when
@@ -105,8 +95,16 @@ func NewSubtyper(reg *Registry) *Subtyper {
 	}
 }
 
-// IsSubtype reports sub ≤RT super.
+// IsSubtype reports sub ≤RT super. A memoized answer is returned
+// without building Explain's error, which keeps the negative answers
+// that dominate GraphGen's match scans cheap.
 func (s *Subtyper) IsSubtype(sub, super Key) bool {
+	if sub == super {
+		return true
+	}
+	if v, ok := s.memo[[2]Key{sub, super}]; ok {
+		return v
+	}
 	return s.Explain(sub, super) == nil
 }
 
@@ -244,37 +242,4 @@ func (s *Subtyper) subDep(sub, super Dependency) error {
 		return fmt.Errorf("reverse port map not related")
 	}
 	return nil
-}
-
-// SharedSubtyper is a concurrency-safe ≤RT checker for use by parallel
-// hypergraph expansion: answered pairs are published in a lock-free map
-// so the hot path (memo hits from many workers scanning candidate nodes)
-// costs one atomic load; misses serialize on a mutex around the inner
-// Subtyper's derivation. Answers are identical to Subtyper's — the
-// relation is a pure function of the registry.
-type SharedSubtyper struct {
-	hits  sync.Map // [2]Key -> bool
-	mu    sync.Mutex
-	inner *Subtyper
-}
-
-// NewSharedSubtyper returns a concurrency-safe subtype checker.
-func NewSharedSubtyper(reg *Registry) *SharedSubtyper {
-	return &SharedSubtyper{inner: NewSubtyper(reg)}
-}
-
-// IsSubtype reports sub ≤RT super; safe for concurrent use.
-func (s *SharedSubtyper) IsSubtype(sub, super Key) bool {
-	if sub == super {
-		return true // Refl, no map traffic
-	}
-	pair := [2]Key{sub, super}
-	if v, ok := s.hits.Load(pair); ok {
-		return v.(bool)
-	}
-	s.mu.Lock()
-	v := s.inner.IsSubtype(sub, super)
-	s.mu.Unlock()
-	s.hits.Store(pair, v)
-	return v
 }

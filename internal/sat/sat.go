@@ -160,8 +160,8 @@ type Result struct {
 	Core  []Lit
 	Stats Stats
 	// Proof is the derivation log backing an Unsat verdict, set when
-	// proof logging was enabled (CDCL.LogProof, Incremental.StartProof,
-	// SolvePortfolioCertified). internal/certify replays it against the
+	// proof logging was enabled (CDCL.LogProof, Incremental.StartProof).
+	// internal/certify replays it against the
 	// original formula with an independent unit-propagator.
 	Proof *Proof
 }

@@ -15,7 +15,7 @@
 //     stages, wall time for real-perf stages like the SAT solve.
 //   - Events are points in virtual time attached to a span (or free-
 //     standing), used for retries, backoffs, fault injections, monitor
-//     restarts, and wave/shard progress.
+//     restarts, and incremental re-solves.
 //
 // Disabled telemetry is free: every method is nil-safe, so a nil
 // *Tracer (and the nil *Span / *Event values it hands out) turns the

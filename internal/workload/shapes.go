@@ -1,14 +1,12 @@
 package workload
 
-// FleetShape is a named fleet size shared by the scale benchmarks, the
-// differential suites, and the CI smoke steps, so "fleet570" means the
-// same workload everywhere.
+// FleetShape is a named fleet size shared by the scale benchmarks and
+// the CI smoke steps, so "fleet570" means the same workload everywhere.
 type FleetShape struct {
 	Name string
 	Spec Spec
 	// Big marks fleets large enough that benchmarks skip them in
-	// -short mode and skip the sequential (P=0) reference, whose front
-	// half is quadratic in fleet size.
+	// -short mode.
 	Big bool
 }
 
