@@ -196,6 +196,21 @@ func TestCmdAlternatives(t *testing.T) {
 	}
 }
 
+// TestCmdAlternativesUnsat: an unsatisfiable partial specification has
+// no alternatives to list; the command fails with the MUS story instead
+// of reporting zero of them.
+func TestCmdAlternativesUnsat(t *testing.T) {
+	rdlFile := writeFile(t, "stack.rdl", lintUnsatRDL)
+	specFile := writeFile(t, "spec.json", lintUnsatPartial)
+	out, err := runCapture(t, "alternatives", "-rdl", rdlFile, "-partial", specFile)
+	if err == nil || !strings.Contains(err.Error(), "jointly unsatisfiable") {
+		t.Fatalf("alternatives err = %v, want unsat with explanation (output %q)", err, out)
+	}
+	if strings.Contains(out, "alternative full installation specification(s)") {
+		t.Errorf("unsat alternatives still printed a listing: %s", out)
+	}
+}
+
 func TestCmdFmt(t *testing.T) {
 	rdlFile := writeFile(t, "stack.rdl", cliRDL)
 	out, err := runCapture(t, "fmt", rdlFile)

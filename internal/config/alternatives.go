@@ -1,8 +1,6 @@
 package config
 
 import (
-	"engage/internal/constraint"
-	"engage/internal/hypergraph"
 	"engage/internal/sat"
 	"engage/internal/spec"
 )
@@ -18,38 +16,40 @@ import (
 // re-solve on warm state (learned clauses, activity, saved phases),
 // not a cold solve of the whole constraint system.
 //
+// Like every entry point, Alternatives reports an unsatisfiable partial
+// specification as UnsatError and checks each specification it returns
+// with CheckSpec.
+//
 // A limit ≤ 0 enumerates everything; the solution count is bounded by
 // the product of the disjunction widths, so bound it for large stacks.
 func (e *Engine) Alternatives(partial *spec.Partial, limit int) ([]*spec.Full, error) {
-	root := e.Tracer.Span("config.alternatives")
-	defer root.End()
-	g, err := hypergraph.Generate(e.Registry, partial)
-	if err != nil {
-		return nil, err
-	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
-	}
+	fulls, _, err := e.configure("alternatives", partial, func(r *run) [][]bool { return r.enumerate(limit) })
+	return fulls, err
+}
 
-	// Project onto the instance variables only (the ladder encoding's
-	// auxiliaries must not multiply solutions).
-	project := make([]int, 0, g.Len())
-	for _, id := range g.Order {
-		project = append(project, prob.VarOf[id])
-	}
-
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	models, _ := sat.EnumerateModelsOn(inc, prob.Formula, project, limit)
-	root.Int("models", int64(len(models)))
-	out := make([]*spec.Full, 0, len(models))
-	for _, model := range models {
-		full, _, err := e.build(g, prob.Selected(model))
-		if err != nil {
-			return nil, err
+// enumerate extends the first model to up to limit models, blocking
+// each on the instance variables 1..n only (the ladder encoding's
+// auxiliaries must not multiply solutions).
+func (r *run) enumerate(limit int) [][]bool {
+	models := [][]bool{r.model}
+	for limit <= 0 || len(models) < limit {
+		last := models[len(models)-1]
+		block := make(sat.Clause, 0, r.g.Len())
+		for v := 1; v <= r.g.Len(); v++ {
+			if last[v] {
+				block = append(block, sat.Lit(-v))
+			} else {
+				block = append(block, sat.Lit(v))
+			}
 		}
-		out = append(out, full)
+		if !r.inc.AddClause(block) {
+			break // the blocking clause closed the space at level 0
+		}
+		res := r.inc.SolveAssuming(nil)
+		if res.Status != sat.Sat {
+			break
+		}
+		models = append(models, res.Model)
 	}
-	return out, nil
+	return models
 }

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"engage/internal/testlib"
@@ -76,6 +78,24 @@ func TestAlternativesGraphError(t *testing.T) {
 	var p = testlib.MustBadPartial()
 	if _, err := New(reg).Alternatives(p, 0); err == nil {
 		t.Error("bad partial should propagate error")
+	}
+}
+
+// TestAlternativesUnsatAndErrors: Alternatives classifies its first
+// solve like every other entry point — Unsat is an UnsatError, not an
+// empty list, and a solver that gives up is an error.
+func TestAlternativesUnsatAndErrors(t *testing.T) {
+	reg, err := testlib.OpenMRSRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Registry: reg, Solver: unsatSolver{}}
+	if alts, err := e.Alternatives(mustFig2(t), 0); !errors.As(err, new(UnsatError)) {
+		t.Errorf("Alternatives = %d specs, %v; want UnsatError", len(alts), err)
+	}
+	e2 := &Engine{Registry: reg, Solver: unknownSolver{}}
+	if _, err := e2.Alternatives(mustFig2(t), 0); err == nil || !strings.Contains(err.Error(), "gave up") {
+		t.Errorf("expected gave-up error, got %v", err)
 	}
 }
 

@@ -24,19 +24,21 @@ import (
 
 // Engine is the configuration engine. The zero Solver/Encoding default
 // to the CDCL solver with the paper's pairwise exactly-one encoding.
-// Solvers implementing sat.IncrementalSource (CDCL does) let the
-// enumeration and minimization paths (Alternatives, ConfigureMinimal)
-// reuse warm solver state across re-solves; other solvers work through
-// the cold compatibility adapter.
+// Every entry point solves on one incremental session. Solvers
+// implementing sat.IncrementalSource (CDCL does) keep it warm across
+// the re-solves of Alternatives, ConfigureMinimal and Session; other
+// solvers work through the cold compatibility adapter.
 type Engine struct {
 	Registry *resource.Registry
 	Solver   sat.Solver
 	Encoding constraint.Encoding
-	// Tracer, when non-nil, receives one span per pipeline stage
-	// (config.graph / config.encode / config.solve / config.build under
-	// a "config" root) and one "sat.solve" event per incremental
-	// re-solve in Alternatives and ConfigureMinimal. For these stages wall time is authoritative —
-	// nothing advances the virtual clock during configuration.
+	// Tracer, when non-nil, receives one "config" root span per entry
+	// point call, with the entry point as its "mode" attribute and one
+	// child per pipeline stage (config.graph / config.encode /
+	// config.solve / config.build), plus one "sat.solve" event per
+	// solve on the call's session. For these stages wall time is
+	// authoritative — nothing advances the virtual clock during
+	// configuration.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, absorbs Stats (see Stats.Publish) plus
 	// per-solve solver effort counters.
@@ -65,7 +67,10 @@ type Stats struct {
 	GraphEdges int
 	Vars       int
 	Clauses    int
-	Solver     sat.Stats
+	// Solver is the effort of the session's first solve, as the
+	// session reports it per call: it leaves out the root-level
+	// propagations done while the clauses are loaded.
+	Solver sat.Stats
 	// Per-stage wall clock: hypergraph generation, constraint
 	// encoding, SAT solving, and build+propagate+check. PropagateWall
 	// is the port propagation slice of BuildWall, broken out so the
@@ -128,9 +133,45 @@ func (e *Engine) Configure(partial *spec.Partial) (*spec.Full, error) {
 	return full, err
 }
 
-// ConfigureStats is Configure with effort statistics.
-func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stats, err error) {
-	root := e.Tracer.Span("config")
+// ConfigureStats is Configure with effort statistics. It is the session
+// path of ConfigureSessionStats with the session dropped.
+func (e *Engine) ConfigureStats(partial *spec.Partial) (*spec.Full, Stats, error) {
+	fulls, r, err := e.configure("configure", partial, nil)
+	if err != nil {
+		return nil, r.st, err
+	}
+	return fulls[0], r.st, nil
+}
+
+// run is what the front half hands to an entry point's own re-solves.
+type run struct {
+	g    *hypergraph.Graph
+	prob *constraint.Problem
+	// inc is the incremental session, observed so that every solve on
+	// it is traced and counted once.
+	inc   sat.IncrementalSolver
+	model []bool // the first solve's model
+	st    Stats
+}
+
+// configure is the one pipeline behind every entry point (§4), traced
+// as one "config" root span with the entry point as its "mode".
+//
+// The front half runs GraphGen and encode under config.graph and
+// config.encode, then opens the one incremental session and solves it
+// under config.solve. The first solve is classified as Sat, Unsat
+// (UnsatError with the MUS story) or gave up. On Sat, more (when
+// non-nil) runs the entry point's own re-solves on r.inc, still under
+// config.solve, and returns the models to keep; by default the first
+// model is kept.
+//
+// The finish step then builds and statically checks each kept model
+// under config.build. The run's Stats are published to Metrics; the
+// returned run is never nil.
+func (e *Engine) configure(mode string, partial *spec.Partial, more func(*run) [][]bool) (fulls []*spec.Full, r *run, err error) {
+	r = &run{}
+	st := &r.st
+	root := e.Tracer.Span("config").Str("mode", mode)
 	defer func() {
 		if err != nil {
 			root.Str("error", err.Error())
@@ -145,22 +186,20 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 
 	sp := root.Child("config.graph")
 	t0 := time.Now()
-	g, err := hypergraph.Generate(e.Registry, partial)
+	r.g, err = hypergraph.Generate(e.Registry, partial)
 	st.GraphWall = time.Since(t0)
 	if err != nil {
 		sp.End()
-		return nil, st, err
+		return nil, r, err
 	}
-	st.GraphNodes = g.Len()
-	st.GraphEdges = len(g.Edges)
+	st.GraphNodes, st.GraphEdges = r.g.Len(), len(r.g.Edges)
 	sp.Int("nodes", int64(st.GraphNodes)).Int("edges", int64(st.GraphEdges)).End()
 
 	sp = root.Child("config.encode")
 	t0 = time.Now()
-	prob := constraint.Encode(g, e.Encoding)
+	r.prob = constraint.Encode(r.g, e.Encoding)
 	st.EncodeWall = time.Since(t0)
-	st.Vars = prob.Formula.NumVars
-	st.Clauses = len(prob.Formula.Clauses)
+	st.Vars, st.Clauses = r.prob.Formula.NumVars, len(r.prob.Formula.Clauses)
 	sp.Int("vars", int64(st.Vars)).Int("clauses", int64(st.Clauses)).End()
 
 	solver := e.Solver
@@ -169,48 +208,54 @@ func (e *Engine) ConfigureStats(partial *spec.Partial) (full *spec.Full, st Stat
 	}
 	sp = root.Child("config.solve").Str("solver", solver.Name())
 	t0 = time.Now()
-	res := solver.Solve(prob.Formula)
-	st.SolveWall = time.Since(t0)
+	r.inc = sat.Observe(sat.StartIncremental(solver, r.prob.Formula), e.observeSolves(sp))
+	res := r.inc.SolveAssuming(nil)
 	st.Solver = res.Stats
-	spanSolverStats(sp, res).End()
-	switch res.Status {
-	case sat.Sat:
-	case sat.Unsat:
-		return nil, st, e.unsatError(g, root, partial)
-	default:
-		return nil, st, fmt.Errorf("config: solver %q gave up", solver.Name())
-	}
-
-	sp = root.Child("config.build")
-	t0 = time.Now()
-	full, st.PropagateWall, err = e.build(g, prob.Selected(res.Model))
-	if err == nil {
-		err = e.check(full)
-	}
-	st.BuildWall = time.Since(t0)
-	if err != nil {
-		sp.End()
-		return nil, st, err
-	}
-	sp.Int("instances", int64(len(full.Instances))).End()
-	return full, st, nil
-}
-
-// spanSolverStats stamps one solve's effort onto a span.
-func spanSolverStats(sp *telemetry.Span, res sat.Result) *telemetry.Span {
-	return sp.Str("status", res.Status.String()).
+	sp.Str("status", res.Status.String()).
 		Int("decisions", res.Stats.Decisions).
 		Int("propagations", res.Stats.Propagations).
 		Int("conflicts", res.Stats.Conflicts).
 		Int("learned", res.Stats.Learned).
 		Int("restarts", res.Stats.Restarts)
+	r.model = res.Model
+	models := [][]bool{r.model}
+	if res.Status == sat.Sat && more != nil {
+		models = more(r)
+	}
+	st.SolveWall = time.Since(t0)
+	sp.End()
+	switch res.Status {
+	case sat.Sat:
+	case sat.Unsat:
+		return nil, r, e.unsatError(r.g, root, partial)
+	default:
+		return nil, r, fmt.Errorf("config: solver %q gave up", solver.Name())
+	}
+
+	sp = root.Child("config.build")
+	defer sp.End()
+	t0 = time.Now()
+	instances := 0
+	for _, model := range models {
+		full, prop, err := e.finish(r.g, r.prob, model)
+		st.PropagateWall += prop
+		st.BuildWall = time.Since(t0)
+		if err != nil {
+			return nil, r, err
+		}
+		fulls = append(fulls, full)
+		instances += len(full.Instances)
+	}
+	sp.Int("models", int64(len(fulls))).Int("instances", int64(instances))
+	return fulls, r, nil
 }
 
 // Publish copies the per-call stats into a metrics registry: stage
-// walls/allocs as histograms (one observation per Configure), graph and
-// formula sizes as gauges, and solver effort as counters. A nil
-// registry is ignored, so Stats remains usable standalone while the
-// registry supersedes it as the one pipeline-wide snapshot.
+// walls as histograms (one observation per configuration call), graph
+// and formula sizes as gauges. A nil registry is ignored, so Stats
+// remains usable standalone. Solver effort is not published here: the
+// engine counts it per solve as the solve happens (sat.solves,
+// sat.decisions, …), so every solve is counted exactly once.
 func (st Stats) Publish(r *telemetry.Registry) {
 	if r == nil {
 		return
@@ -219,11 +264,6 @@ func (st Stats) Publish(r *telemetry.Registry) {
 	r.Gauge("config.graph_edges").Set(int64(st.GraphEdges))
 	r.Gauge("config.vars").Set(int64(st.Vars))
 	r.Gauge("config.clauses").Set(int64(st.Clauses))
-	r.Counter("sat.decisions").Add(st.Solver.Decisions)
-	r.Counter("sat.propagations").Add(st.Solver.Propagations)
-	r.Counter("sat.conflicts").Add(st.Solver.Conflicts)
-	r.Counter("sat.learned").Add(st.Solver.Learned)
-	r.Counter("sat.restarts").Add(st.Solver.Restarts)
 	r.Histogram("config.graph_wall_ns").Observe(int64(st.GraphWall))
 	r.Histogram("config.encode_wall_ns").Observe(int64(st.EncodeWall))
 	r.Histogram("config.solve_wall_ns").Observe(int64(st.SolveWall))
@@ -232,8 +272,8 @@ func (st Stats) Publish(r *telemetry.Registry) {
 }
 
 // observeSolves returns a sat.Observe callback emitting one "sat.solve"
-// event per SolveAssuming on sp and bumping solver-effort counters, or
-// nil when telemetry is disabled (Observe then returns the session
+// event per SolveAssuming on sp and counting its solver effort, or nil
+// when telemetry is disabled (Observe then returns the session
 // unwrapped, keeping the hot path free).
 func (e *Engine) observeSolves(sp *telemetry.Span) func([]sat.Lit, sat.Result) {
 	if e.Tracer == nil && e.Metrics == nil {
@@ -263,10 +303,12 @@ func (e *Engine) observeSolves(sp *telemetry.Span) func([]sat.Lit, sat.Result) {
 	}
 }
 
-// build assembles the full specification from the solved selection
-// and propagates port values. It also returns the wall time of port
-// propagation.
-func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Full, time.Duration, error) {
+// finish is the one finish step of every entry point: assemble the
+// full specification from a model's selection, propagate port values,
+// then check the result statically. It also returns the wall time of
+// port propagation.
+func (e *Engine) finish(g *hypergraph.Graph, prob *constraint.Problem, model []bool) (*spec.Full, time.Duration, error) {
+	selected := prob.Selected(model)
 	full := &spec.Full{}
 	byID := make(map[string]*spec.Instance, len(g.Order))
 	for _, n := range g.Nodes() {
@@ -299,15 +341,10 @@ func (e *Engine) build(g *hypergraph.Graph, selected map[string]bool) (*spec.Ful
 	if err != nil {
 		return nil, wall, err
 	}
-	return full, wall, nil
-}
-
-// check validates an engine-generated specification.
-func (e *Engine) check(full *spec.Full) error {
 	if err := typecheck.CheckSpec(e.Registry, full); err != nil {
-		return fmt.Errorf("config: generated specification fails static checking: %w", err)
+		return nil, wall, fmt.Errorf("config: generated specification fails static checking: %w", err)
 	}
-	return nil
+	return full, wall, nil
 }
 
 // instanceFromNode materializes one selected graph node as a spec

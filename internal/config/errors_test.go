@@ -33,15 +33,19 @@ func buildRegistry(t *testing.T, types ...*resource.Type) *resource.Registry {
 	return reg
 }
 
-func TestConfigureErrorPaths(t *testing.T) {
+// errorPathCase is one engine error path and the exact message every
+// entry point reports for it.
+type errorPathCase struct {
+	name    string
+	setup   func(t *testing.T) (*resource.Registry, *spec.Partial)
+	wantErr string
+}
+
+func errorPathCases() []errorPathCase {
 	str := resource.T(resource.KindString)
 	port := resource.T(resource.KindPort)
 
-	tests := []struct {
-		name    string
-		setup   func(t *testing.T) (*resource.Registry, *spec.Partial)
-		wantErr string
-	}{
+	return []errorPathCase{
 		{
 			// Two sibling versions of the same family are both pinned
 			// in the partial spec; a dependency edge on the abstract
@@ -164,7 +168,7 @@ func TestConfigureErrorPaths(t *testing.T) {
 		{
 			// Propagation succeeds but the generated spec fails static
 			// checking: two instances claim the same TCP port on one
-			// machine. checkAfterBuild wraps the typecheck error.
+			// machine. The finish step wraps the typecheck error.
 			name: "generated spec fails static checking",
 			setup: func(t *testing.T) (*resource.Registry, *spec.Partial) {
 				reg := buildRegistry(t,
@@ -182,6 +186,10 @@ func TestConfigureErrorPaths(t *testing.T) {
 		},
 	}
 
+}
+
+func TestConfigureErrorPaths(t *testing.T) {
+	tests := errorPathCases()
 	// The second pass re-runs Configure on the same engine and partial
 	// (the self-healing retry path): the error must not drift once the
 	// engine has seen the failure and cached its unsat explanation.
@@ -208,6 +216,24 @@ func TestConfigureErrorPaths(t *testing.T) {
 					if !errors.As(err, &ue) {
 						t.Fatalf("unsat error is %T, want UnsatError", err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestEveryEntryPointReportsErrors: the entry points share one front
+// half and one finish step, so each error path reads the same from
+// every entry point (every case has a single model, so minimization
+// and enumeration build the same specification).
+func TestEveryEntryPointReportsErrors(t *testing.T) {
+	for _, tc := range errorPathCases() {
+		for name, entry := range entryPoints {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				reg, p := tc.setup(t)
+				err := entry(New(reg), p)
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error:\n got %v\nwant %q", err, tc.wantErr)
 				}
 			})
 		}

@@ -1,10 +1,6 @@
 package config
 
 import (
-	"fmt"
-
-	"engage/internal/constraint"
-	"engage/internal/hypergraph"
 	"engage/internal/sat"
 	"engage/internal/spec"
 )
@@ -26,57 +22,31 @@ import (
 // no cold restarts, no formula copying, at most one re-solve per graph
 // node.
 func (e *Engine) ConfigureMinimal(partial *spec.Partial) (*spec.Full, error) {
-	g, err := hypergraph.Generate(e.Registry, partial)
+	fulls, _, err := e.configure("minimal", partial, (*run).minimize)
 	if err != nil {
 		return nil, err
 	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
-	}
+	return fulls[0], nil
+}
 
-	root := e.Tracer.Span("config.minimal")
-	defer root.End()
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	res := inc.SolveAssuming(nil)
-	switch res.Status {
-	case sat.Sat:
-	case sat.Unsat:
-		return nil, e.unsatError(g, root, partial)
-	default:
-		return nil, fmt.Errorf("config: solver %q gave up", solver.Name())
-	}
-	model := res.Model
-
-	fromSpec := make(map[string]bool, len(partial.Instances))
-	for _, pi := range partial.Instances {
-		fromSpec[pi.ID] = true
-	}
-
-	// Try to shed every selected non-spec instance, in graph order.
-	for _, id := range g.Order {
-		v := prob.VarOf[id]
-		if fromSpec[id] || !model[v] {
+// minimize sheds every selected non-spec instance it can, in graph
+// order, starting from the first model.
+func (r *run) minimize() [][]bool {
+	model := r.model
+	for _, n := range r.g.Nodes() {
+		v := r.prob.VarOf[n.ID]
+		if n.FromSpec || !model[v] {
 			continue
 		}
-		trial := inc.SolveAssuming([]sat.Lit{sat.Lit(-v)})
+		trial := r.inc.SolveAssuming([]sat.Lit{sat.Lit(-v)})
 		if trial.Status == sat.Sat {
 			// Sheddable: commit the exclusion so later trials build on it.
-			inc.AddClause(sat.Clause{sat.Lit(-v)})
+			r.inc.AddClause(sat.Clause{sat.Lit(-v)})
 			model = trial.Model
 		} else {
 			// Pin it in so later trials cannot flip it back.
-			inc.AddClause(sat.Clause{sat.Lit(v)})
+			r.inc.AddClause(sat.Clause{sat.Lit(v)})
 		}
 	}
-
-	full, _, err := e.build(g, prob.Selected(model))
-	if err == nil {
-		err = e.check(full)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return full, nil
+	return [][]bool{model}
 }

@@ -28,9 +28,9 @@ type Session struct {
 	Model   []bool
 }
 
-// ConfigureSession is Configure, but the solve runs on an incremental
-// session that is returned alongside the full specification for later
-// warm re-solves (see Session.SolvePinned).
+// ConfigureSession is Configure, but the incremental session every
+// entry point solves on is returned alongside the full specification
+// for later warm re-solves (see Session.SolvePinned).
 func (e *Engine) ConfigureSession(partial *spec.Partial) (*spec.Full, *Session, error) {
 	full, sess, _, err := e.ConfigureSessionStats(partial)
 	return full, sess, err
@@ -41,37 +41,11 @@ func (e *Engine) ConfigureSession(partial *spec.Partial) (*spec.Full, *Session, 
 // control plane's session pool — can compare it against later per-call
 // deltas from Session.SolvePinned / Session.Resolve.
 func (e *Engine) ConfigureSessionStats(partial *spec.Partial) (*spec.Full, *Session, sat.Stats, error) {
-	g, err := hypergraph.Generate(e.Registry, partial)
+	fulls, r, err := e.configure("session", partial, nil)
 	if err != nil {
-		return nil, nil, sat.Stats{}, err
+		return nil, nil, r.st.Solver, err
 	}
-	prob := constraint.Encode(g, e.Encoding)
-	solver := e.Solver
-	if solver == nil {
-		solver = sat.NewCDCL()
-	}
-
-	root := e.Tracer.Span("config.session")
-	defer root.End()
-	inc := sat.Observe(sat.StartIncremental(solver, prob.Formula), e.observeSolves(root))
-	res := inc.SolveAssuming(nil)
-	switch res.Status {
-	case sat.Sat:
-	case sat.Unsat:
-		return nil, nil, res.Stats, e.unsatError(g, root, partial)
-	default:
-		return nil, nil, res.Stats, fmt.Errorf("config: solver %q gave up", solver.Name())
-	}
-
-	full, _, err := e.build(g, prob.Selected(res.Model))
-	if err == nil {
-		err = e.check(full)
-	}
-	if err != nil {
-		return nil, nil, res.Stats, err
-	}
-	root.Int("instances", int64(len(full.Instances)))
-	return full, &Session{Graph: g, Problem: prob, Inc: inc, Model: res.Model}, res.Stats, nil
+	return fulls[0], &Session{Graph: r.g, Problem: r.prob, Inc: r.inc, Model: r.model}, r.st.Solver, nil
 }
 
 // Resolve answers a repeat of the session's original configuration
@@ -95,10 +69,7 @@ func (s *Session) Resolve(e *Engine, partial *spec.Partial) (*spec.Full, sat.Sta
 		s.Model = res.Model
 		st = res.Stats
 	}
-	full, _, err := e.build(s.Graph, s.Problem.Selected(s.Model))
-	if err == nil {
-		err = e.check(full)
-	}
+	full, _, err := e.finish(s.Graph, s.Problem, s.Model)
 	if err != nil {
 		return nil, st, err
 	}
@@ -127,7 +98,3 @@ func (s *Session) SolvePinned(ids []string) (sat.Result, error) {
 	}
 	return res, nil
 }
-
-// Selected maps a model back to the selected instance IDs (the
-// session-level view of Problem.Selected).
-func (s *Session) Selected(model []bool) map[string]bool { return s.Problem.Selected(model) }

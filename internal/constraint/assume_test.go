@@ -1,6 +1,8 @@
 package constraint
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"engage/internal/hypergraph"
@@ -28,26 +30,67 @@ func satGraph() *hypergraph.Graph {
 	return g
 }
 
+// oneOfGraph is a spec-pinned source whose one hyperedge chooses
+// among n targets t1..tn, with the targets numbered in pinned also
+// spec-pinned. Pinning one target is satisfiable with exactly that
+// target selected; pinning two is unsatisfiable.
+func oneOfGraph(n int, pinned ...int) *hypergraph.Graph {
+	g := hypergraph.NewGraph()
+	g.AddNode(&hypergraph.Node{ID: "src", FromSpec: true})
+	targets := make([]string, n)
+	for i := range targets {
+		targets[i] = fmt.Sprintf("t%d", i+1)
+		g.AddNode(&hypergraph.Node{ID: targets[i], FromSpec: slices.Contains(pinned, i+1)})
+	}
+	g.AddEdge(hypergraph.Hyperedge{Source: "src", Targets: targets})
+	return g
+}
+
 func TestEncodeAssumableAgreesWithEncode(t *testing.T) {
+	type row struct {
+		name string
+		g    *hypergraph.Graph
+		want sat.Status
+	}
+	rows := []row{
+		{"unsat", conflictGraph(), sat.Unsat},
+		{"sat", satGraph(), sat.Sat},
+	}
+	// Exactly-one over 2..8 targets: the ladder encoding takes its
+	// sequential branch from four targets on, in both modes.
+	for n := 2; n <= 8; n++ {
+		for forced := 1; forced <= n; forced++ {
+			rows = append(rows, row{fmt.Sprintf("one_of_%d/forced_%d", n, forced), oneOfGraph(n, forced), sat.Sat})
+		}
+		rows = append(rows, row{fmt.Sprintf("one_of_%d/forced_two", n), oneOfGraph(n, 1, 2), sat.Unsat})
+	}
+	// exactlyOneChosen checks a Sat model selects exactly one hyperedge
+	// target (every row's graph has one hyperedge).
+	exactlyOneChosen := func(t *testing.T, g *hypergraph.Graph, p *Problem, model []bool) {
+		t.Helper()
+		if _, err := ChosenTarget(g.Edges[0], p.Selected(model)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, enc := range []Encoding{Pairwise, Ladder} {
-		for _, tc := range []struct {
-			name string
-			g    *hypergraph.Graph
-			want sat.Status
-		}{
-			{"unsat", conflictGraph(), sat.Unsat},
-			{"sat", satGraph(), sat.Sat},
-		} {
+		for _, tc := range rows {
 			t.Run(enc.String()+"/"+tc.name, func(t *testing.T) {
 				plain := Encode(tc.g, enc)
-				if res := sat.NewCDCL().Solve(plain.Formula); res.Status != tc.want {
+				res := sat.NewCDCL().Solve(plain.Formula)
+				if res.Status != tc.want {
 					t.Fatalf("plain encoding: %v, want %v", res.Status, tc.want)
+				}
+				if tc.want == sat.Sat {
+					exactlyOneChosen(t, tc.g, plain, res.Model)
 				}
 				ap := EncodeAssumable(tc.g, enc)
 				inc := sat.StartIncremental(sat.NewCDCL(), ap.Formula)
-				res := inc.SolveAssuming(ap.Selectors)
+				res = inc.SolveAssuming(ap.Selectors)
 				if res.Status != tc.want {
 					t.Fatalf("assumable encoding under all selectors: %v, want %v", res.Status, tc.want)
+				}
+				if tc.want == sat.Sat {
+					exactlyOneChosen(t, tc.g, ap.Problem, res.Model)
 				}
 				if tc.want == sat.Unsat {
 					if len(res.Core) == 0 {

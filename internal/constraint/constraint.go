@@ -53,74 +53,108 @@ type Problem struct {
 
 // Encode generates the Boolean constraints for a hypergraph.
 func Encode(g *hypergraph.Graph, enc Encoding) *Problem {
+	return encode(g, enc, false).Problem
+}
+
+// encode is the one constraint emitter behind Encode and
+// EncodeAssumable. Node variables are 1..n in graph order. Each
+// constraint group — the unit rsrc(v) of a partial-spec instance, the
+// exactly-one of a hyperedge — is emitted in that order; in guarded
+// mode the group first gets a fresh selector s and every clause of the
+// group carries ¬s. Auxiliary variables (selectors, ladder rungs) are
+// numbered in emission order after the node variables.
+func encode(g *hypergraph.Graph, enc Encoding, guarded bool) *AssumableProblem {
 	f := sat.NewFormula(g.Len())
-	p := &Problem{
+	p := &AssumableProblem{Problem: &Problem{
 		Formula: f,
 		VarOf:   make(map[string]int, g.Len()),
 		IDOf:    make([]string, g.Len()+1),
-	}
+	}}
 	for i, id := range g.Order {
 		v := i + 1
 		p.VarOf[id] = v
 		p.IDOf[v] = id
 	}
+	if guarded {
+		p.groupOf = make(map[int]int)
+	}
+
+	// open starts a constraint group: guard becomes the literals every
+	// clause of the group is prefixed with — {¬s} for the group's fresh
+	// selector s in guarded mode, nothing in plain mode.
+	guard := make([]sat.Lit, 0, 2) // room for ¬s plus one literal
+	open := func(gr Group) {
+		guard = guard[:0]
+		if !guarded {
+			return
+		}
+		s := sat.Lit(f.AddVar())
+		p.groupOf[s.Var()] = len(p.Groups)
+		p.Selectors = append(p.Selectors, s)
+		p.Groups = append(p.Groups, gr)
+		guard = append(guard, s.Neg())
+	}
 
 	// Unit constraints for partial-spec instances.
 	for _, n := range g.Nodes() {
 		if n.FromSpec {
-			f.AddUnit(sat.Lit(p.VarOf[n.ID]))
+			open(Group{Kind: GroupSpec, Instance: n.ID, Edge: -1})
+			f.Add(append(guard, sat.Lit(p.VarOf[n.ID]))...)
 		}
 	}
 
-	// Dependency constraints, one per hyperedge.
-	for _, e := range g.Edges {
-		src := sat.Lit(p.VarOf[e.Source])
-		lits := make([]sat.Lit, len(e.Targets))
-		for i, t := range e.Targets {
-			lits[i] = sat.Lit(p.VarOf[t])
+	// Dependency constraints rsrc(v) → ⊕targets, one per hyperedge.
+	var lits []sat.Lit
+	for ei, e := range g.Edges {
+		open(Group{Kind: GroupEdge, Instance: e.Source, Edge: ei})
+		lits = lits[:0]
+		for _, t := range e.Targets {
+			lits = append(lits, sat.Lit(p.VarOf[t]))
 		}
-		switch enc {
-		case Pairwise:
-			f.AddImpliesExactlyOne(src, lits...)
-		case Ladder:
-			addImpliesExactlyOneLadder(f, src, lits)
-		}
+		exactlyOne(f, enc, append(guard, sat.Lit(p.VarOf[e.Source]).Neg()), lits)
 	}
 
-	// Grow IDOf for any auxiliary variables added by the ladder.
+	// Auxiliary variables map to "" in IDOf.
 	for len(p.IDOf) < f.NumVars+1 {
 		p.IDOf = append(p.IDOf, "")
 	}
 	return p
 }
 
-// addImpliesExactlyOneLadder encodes src → ⊕lits with the sequential
-// encoding: a fresh guard g with (¬src ∨ g) reduces the conditional form
-// to an unconditional exactly-one over guarded literals. Concretely we
-// introduce the ladder over lits with every clause augmented by ¬src.
-func addImpliesExactlyOneLadder(f *sat.Formula, src sat.Lit, lits []sat.Lit) {
+// exactlyOne emits prefix ∨ ⊕lits: every clause of the exactly-one
+// predicate over lits, each led by the prefix literals. The dependency
+// constraint v → ⊕S is prefix {¬v}. The pairwise encoding is the
+// paper's at-least-one clause plus one at-most-one clause per pair. The
+// ladder encoding replaces the pairs by the linear sequential
+// at-most-one: fresh rungs s_i ≡ "some literal among lits[0..i] is
+// true". Ladder falls back to pairwise for three or fewer literals.
+func exactlyOne(f *sat.Formula, enc Encoding, prefix, lits []sat.Lit) {
+	c := make([]sat.Lit, 0, len(prefix)+len(lits))
+	add := func(tail ...sat.Lit) {
+		c = append(append(c[:0], prefix...), tail...)
+		f.Add(c...)
+	}
+	add(lits...)
 	n := len(lits)
-	if n <= 3 {
-		f.AddImpliesExactlyOne(src, lits...)
+	if enc == Ladder && n > 3 {
+		s := make([]sat.Lit, n-1)
+		for i := range s {
+			s[i] = sat.Lit(f.AddVar())
+		}
+		add(lits[0].Neg(), s[0])
+		for i := 1; i < n-1; i++ {
+			add(s[i-1].Neg(), s[i])
+			add(lits[i].Neg(), s[i])
+			add(lits[i].Neg(), s[i-1].Neg())
+		}
+		add(lits[n-1].Neg(), s[n-2].Neg())
 		return
 	}
-	// At-least-one: (¬src ∨ l1 ∨ … ∨ ln).
-	c := make([]sat.Lit, 0, n+1)
-	c = append(c, src.Neg())
-	c = append(c, lits...)
-	f.Add(c...)
-	// Sequential at-most-one, guarded by src.
-	s := make([]sat.Lit, n-1)
-	for i := range s {
-		s[i] = sat.Lit(f.AddVar())
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			add(lits[i].Neg(), lits[j].Neg())
+		}
 	}
-	f.Add(src.Neg(), lits[0].Neg(), s[0])
-	for i := 1; i < n-1; i++ {
-		f.Add(src.Neg(), s[i-1].Neg(), s[i])
-		f.Add(src.Neg(), lits[i].Neg(), s[i])
-		f.Add(src.Neg(), lits[i].Neg(), s[i-1].Neg())
-	}
-	f.Add(src.Neg(), lits[n-1].Neg(), s[n-2].Neg())
 }
 
 // Selected extracts the set of deployed node IDs from a model.

@@ -295,10 +295,7 @@ func specDiagnostics(reg *resource.Registry, partial *spec.Partial, opts Options
 		rep.add(CodeSpecInvalid, "", "", "specification rejected: %v", err)
 		return
 	}
-	ap := constraint.EncodeAssumable(g, opts.Encoding)
-	inc := sat.StartIncremental(opts.solver(), ap.Formula)
-	startProof(inc)
-	res := inc.SolveAssuming(ap.Selectors)
+	ap, inc, res := solveAll(g, opts)
 	sp.Int("nodes", int64(g.Len())).Int("constraints", int64(len(ap.Selectors)))
 
 	if res.Status == sat.Unsat {

@@ -128,10 +128,7 @@ func ExplainUnsat(reg *resource.Registry, partial *spec.Partial, opts Options) *
 // hypergraph; internal/config calls this on the graph it built so a
 // failed Solve can attach the explanation to its error.
 func ExplainGraphUnsat(g *hypergraph.Graph, opts Options) *UnsatExplanation {
-	ap := constraint.EncodeAssumable(g, opts.Encoding)
-	inc := sat.StartIncremental(opts.solver(), ap.Formula)
-	startProof(inc)
-	res := inc.SolveAssuming(ap.Selectors)
+	ap, inc, res := solveAll(g, opts)
 	if res.Status != sat.Unsat {
 		return nil
 	}
@@ -144,12 +141,17 @@ func ExplainGraphUnsat(g *hypergraph.Graph, opts Options) *UnsatExplanation {
 // memory.
 const lintProofCap = 1 << 20
 
-// startProof turns on proof logging when the session supports it, so
-// every unsat story lint produces arrives with a checkable certificate.
-func startProof(inc sat.IncrementalSolver) {
+// solveAll is lint's one solve step: encode g with one selector per
+// constraint group, open a session, turn on proof logging when the
+// session supports it (so every unsat story lint produces arrives with
+// a checkable certificate), and solve under all selectors.
+func solveAll(g *hypergraph.Graph, opts Options) (*constraint.AssumableProblem, sat.IncrementalSolver, sat.Result) {
+	ap := constraint.EncodeAssumable(g, opts.Encoding)
+	inc := sat.StartIncremental(opts.solver(), ap.Formula)
 	if pl, ok := inc.(sat.ProofLogger); ok {
 		pl.StartProof(lintProofCap)
 	}
+	return ap, inc, inc.SolveAssuming(ap.Selectors)
 }
 
 // sessionProof extracts the finished proof, nil when logging was off.

@@ -25,10 +25,3 @@ func (o *observed) SolveAssuming(assumps []Lit) Result {
 	o.fn(assumps, res)
 	return res
 }
-
-// EnumerateModelsOn is EnumerateModelsStats running on a caller-provided
-// incremental session — typically one wrapped with Observe, so each
-// enumeration re-solve is visible to the caller.
-func EnumerateModelsOn(inc IncrementalSolver, f *Formula, project []int, limit int) ([][]bool, Stats) {
-	return enumerate(inc, f, project, limit)
-}

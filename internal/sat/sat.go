@@ -87,31 +87,6 @@ func (f *Formula) AddImpliesExactlyOne(v Lit, lits ...Lit) {
 	}
 }
 
-// AddExactlyOneLadder appends the sequential ("ladder" / commander-free
-// BDD-style) exactly-one encoding using auxiliary variables: linear in
-// |S| clauses instead of quadratic. Used by the A2 ablation bench.
-func (f *Formula) AddExactlyOneLadder(lits ...Lit) {
-	n := len(lits)
-	if n <= 3 {
-		f.AddExactlyOne(lits...)
-		return
-	}
-	// s_i ≡ "some literal among lits[0..i] is true".
-	f.Add(lits...) // at least one
-	s := make([]Lit, n-1)
-	for i := range s {
-		s[i] = Lit(f.AddVar())
-	}
-	// lits[0] → s_0 ; s_{i-1} → s_i ; lits[i] → s_i ; lits[i] → ¬s_{i-1}
-	f.AddImplies(lits[0], s[0])
-	for i := 1; i < n-1; i++ {
-		f.AddImplies(s[i-1], s[i])
-		f.AddImplies(lits[i], s[i])
-		f.Add(lits[i].Neg(), s[i-1].Neg())
-	}
-	f.Add(lits[n-1].Neg(), s[n-2].Neg())
-}
-
 // Status is the outcome of a solve.
 type Status int
 

@@ -265,45 +265,6 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestLadderEncodingEquivalent(t *testing.T) {
-	// Exactly-one via ladder must admit exactly the same projections on
-	// the original variables as the pairwise encoding.
-	for n := 2; n <= 8; n++ {
-		lits := make([]Lit, n)
-		for i := range lits {
-			lits[i] = Lit(i + 1)
-		}
-		for forced := 1; forced <= n; forced++ {
-			f := NewFormula(n)
-			f.AddExactlyOneLadder(lits...)
-			f.AddUnit(Lit(forced))
-			r := NewCDCL().Solve(f)
-			if r.Status != Sat {
-				t.Fatalf("ladder n=%d forced=%d: want SAT", n, forced)
-			}
-			count := 0
-			for v := 1; v <= n; v++ {
-				if r.Model[v] {
-					count++
-				}
-			}
-			if count != 1 {
-				t.Errorf("ladder n=%d forced=%d: %d originals true", n, forced, count)
-			}
-		}
-		// Forcing two originals must be UNSAT.
-		if n >= 2 {
-			f := NewFormula(n)
-			f.AddExactlyOneLadder(lits...)
-			f.AddUnit(1)
-			f.AddUnit(2)
-			if r := NewCDCL().Solve(f); r.Status != Unsat {
-				t.Errorf("ladder n=%d: two true originals should be UNSAT", n)
-			}
-		}
-	}
-}
-
 func TestLuby(t *testing.T) {
 	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
 	for i, w := range want {
