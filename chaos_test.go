@@ -159,9 +159,10 @@ func TestChaosSoakDeploy(t *testing.T) {
 	}
 }
 
-// TestChaosSoakConcurrent repeats the soak with the concurrent deployer
-// (one goroutine per instance) — under -race this stresses the guard
-// coordination and the deadlock detector against injected failures.
+// TestChaosSoakConcurrent repeats the soak through DeployConcurrent —
+// the same guard-driven walk with critical-path virtual time — so the
+// concurrent entry point keeps the completes-or-rolls-back invariant
+// and a valid trace under injected failures.
 func TestChaosSoakConcurrent(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		seed := seed
@@ -187,6 +188,71 @@ func TestChaosSoakConcurrent(t *testing.T) {
 			}
 			checkChaosTrace(t, buf.Bytes(), plan, err, seed)
 		})
+	}
+}
+
+// TestChaosCriticalPathOracle checks parallel virtual-time accounting
+// under retry backoff against an independent computation: for chaos
+// seeds whose faults the retry policy absorbs, Elapsed is the longest
+// dependency chain of per-instance virtual cost, each instance's cost
+// read from its last recorded event.
+func TestChaosCriticalPathOracle(t *testing.T) {
+	retried := 0
+	for seed := int64(0); seed < 20; seed++ {
+		for _, concurrent := range []bool{false, true} {
+			sys, err := NewSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Parallel = true
+			sys.OnFailure = FailRetry
+			plan := ChaosPlan(seed, 0.08, 0)
+			sys.InjectFaults(plan)
+			full, err := sys.Configure(chaosPartial())
+			if err != nil {
+				t.Fatal(err)
+			}
+			deploy := sys.Deploy
+			if concurrent {
+				deploy = sys.DeployConcurrent
+			}
+			d, err := deploy(full)
+			if err != nil {
+				continue // a fault retries could not absorb: the soaks cover it
+			}
+			if plan.Injections() > 0 {
+				retried++
+			}
+			spent := make(map[string]time.Duration)
+			for _, ev := range d.Events() {
+				spent[ev.Instance] = ev.Spent
+			}
+			finish := make(map[string]time.Duration)
+			var chain func(id string) time.Duration
+			chain = func(id string) time.Duration {
+				if f, ok := finish[id]; ok {
+					return f
+				}
+				inst, _ := full.Find(id)
+				var start time.Duration
+				for _, dep := range inst.DependencyIDs() {
+					start = max(start, chain(dep))
+				}
+				finish[id] = start + spent[id]
+				return finish[id]
+			}
+			var longest time.Duration
+			for _, inst := range full.Instances {
+				longest = max(longest, chain(inst.ID))
+			}
+			if d.Elapsed() != longest {
+				t.Errorf("seed %d, concurrent=%v: Elapsed %v, longest dependency chain %v (%d faults retried)",
+					seed, concurrent, d.Elapsed(), longest, plan.Injections())
+			}
+		}
+	}
+	if retried < 4 {
+		t.Errorf("only %d successful deployments retried a fault; the oracle needs backoff to check", retried)
 	}
 }
 

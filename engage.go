@@ -359,10 +359,10 @@ func (s *System) Deploy(f *Full) (*Deployment, error) {
 	return d, nil
 }
 
-// DeployConcurrent is Deploy with one goroutine per instance: drivers
-// fire as soon as their ↑/↓ guards allow, with no global plan — the
-// §5.1 blocking-transition semantics realized with real concurrency.
-// The outcome and virtual-time accounting match the Parallel option.
+// DeployConcurrent is Deploy with the Parallel option always on: the
+// same guard-driven walk, with every instance starting in virtual time
+// when its dependencies finish, so the elapsed time is the dependency
+// critical path (§5.2).
 func (s *System) DeployConcurrent(f *Full) (*Deployment, error) {
 	d, err := deploy.New(f, s.options())
 	if err != nil {

@@ -247,16 +247,6 @@ type costSink struct{ d time.Duration }
 
 func (s *costSink) Charge(d time.Duration) { s.d += d }
 
-func (s *costSink) total() time.Duration { return s.d }
-
-// accountingSink is a TimeSink whose accumulated total can be read; the
-// retry layer uses it to measure per-action cost for timeouts and to
-// charge backoff.
-type accountingSink interface {
-	machine.TimeSink
-	total() time.Duration
-}
-
 // fireWithRetry fires one action, retrying per the deployment's retry
 // policy with exponential backoff charged to sink as virtual time.
 // Guard blocks are returned immediately (the callers own blocking
@@ -264,16 +254,16 @@ type accountingSink interface {
 // were made. Retry and timeout events are emitted on sp stamped at
 // vbase plus the instance's consumed virtual time; a nil sp traces
 // nothing.
-func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink accountingSink, env driver.GuardEnv, sp *telemetry.Span, vbase time.Time) (int, error) {
+func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink *costSink, sp *telemetry.Span, vbase time.Time) (int, error) {
 	policy := d.opts.Retry.resolve(d.opts.OnFailure)
 	for attempt := 1; ; attempt++ {
-		before := sink.total()
-		err := drv.Fire(action, env)
-		cost := sink.total() - before
+		before := sink.d
+		err := drv.Fire(action, d)
+		cost := sink.d - before
 		if err == nil {
 			if d.opts.ActionTimeout > 0 && cost > d.opts.ActionTimeout {
 				if sp != nil {
-					sp.Event("deploy.timeout").At(vbase.Add(sink.total())).
+					sp.Event("deploy.timeout").At(vbase.Add(sink.d)).
 						Dur("cost", cost).Dur("limit", d.opts.ActionTimeout).Emit()
 				}
 				d.opts.Metrics.Counter("deploy.timeouts").Inc()
@@ -290,7 +280,7 @@ func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink a
 		}
 		bo := policy.backoff(attempt)
 		if sp != nil {
-			sp.Event("deploy.retry").At(vbase.Add(sink.total())).
+			sp.Event("deploy.retry").At(vbase.Add(sink.d)).
 				Int("attempt", int64(attempt)).Dur("backoff", bo).
 				Str("error", err.Error()).Emit()
 		}
@@ -303,9 +293,12 @@ func (d *Deployment) fireWithRetry(drv *driver.Driver, id, action string, sink a
 // current state to the target, charging durations (including retry
 // backoff) to sink. Guards are evaluated against the deployment's live
 // states. Failures come back as *DeployError naming the instance,
-// action, and attempt count. When parent is non-nil, each action gets a
-// "deploy.action" child span whose virtual interval is vbase plus the
-// instance's consumed virtual time before/after the action.
+// action, and attempt count. A guard that does not hold comes back as
+// the driver's *driver.BlockedError: the action ran nothing, so it gets
+// no span and no metrics, and the instance stays where it stopped. When
+// parent is non-nil, each action gets a "deploy.action" child span
+// whose virtual interval is vbase plus the instance's consumed virtual
+// time before/after the action.
 func (d *Deployment) driveTo(id string, target driver.State, sink *costSink, vbase time.Time, parent *telemetry.Span) error {
 	drv := d.drivers[id]
 	ctx := drv.Ctx
@@ -324,7 +317,10 @@ func (d *Deployment) driveTo(id string, target driver.State, sink *costSink, vba
 			wstart = time.Now() //engage:wallclock span wall-duration axis
 		}
 		before := sink.d
-		attempts, err := d.fireWithRetry(drv, id, action, sink, d, sp, vbase)
+		attempts, err := d.fireWithRetry(drv, id, action, sink, sp, vbase)
+		if _, blocked := err.(*driver.BlockedError); blocked {
+			return err
+		}
 		if sp != nil {
 			sp.Str("instance", id).Str("action", action).
 				Str("to", string(drv.State())).Int("attempts", int64(attempts))
@@ -351,17 +347,56 @@ func (d *Deployment) driveTo(id string, target driver.State, sink *costSink, vba
 	return nil
 }
 
-// Deploy brings every instance to the active state in dependency order
-// (§5.2: "executes commands on the resource drivers … such that every
-// driver state machine is in its active state — at this point, the
-// system is defined to be deployed"). With Parallel set, instances
-// whose dependencies are satisfied proceed concurrently in virtual
-// time; the world clock advances by the critical-path duration.
-func (d *Deployment) Deploy() error {
+// Deploy brings every instance to the active state (§5.2: "executes
+// commands on the resource drivers … such that every driver state
+// machine is in its active state — at this point, the system is defined
+// to be deployed"). The engine walks the instances in dependency order
+// and drives each as far as its guards allow: an action whose guard
+// does not hold parks the instance (§5.1: "the transition blocks until
+// the guard becomes true") and the walk moves on. Parked instances are
+// retried on the next pass; a pass that fires no action ends in a
+// deadlock error naming them. The first action failure ends the walk.
+// With Parallel set, instances whose dependencies are satisfied proceed
+// concurrently in virtual time; the world clock advances by the
+// critical-path duration.
+func (d *Deployment) Deploy() error { return d.deploy(d.opts.Parallel, false) }
+
+// DeployConcurrent is Deploy with the Parallel option always on: every
+// instance starts when its dependencies finish, and the elapsed time is
+// the dependency critical path. Its trace root is marked concurrent.
+func (d *Deployment) DeployConcurrent() error { return d.deploy(true, true) }
+
+// instanceWalk is one instance's progress through the deployment walk,
+// kept across passes so a parked instance resumes where it stopped.
+type instanceWalk struct {
+	sink costSink
+	// start and end are the instance's virtual interval so far, as
+	// offsets from the deploy's start.
+	start, end time.Duration
+	span       *telemetry.Span // open "deploy.instance" span, nil once closed
+}
+
+// close ends the instance's span (once), stamped with its interval.
+func (w *instanceWalk) close(clock0 time.Time, err error) {
+	if w.span == nil {
+		return
+	}
+	if err != nil {
+		w.span.Str("error", err.Error())
+	}
+	w.span.At(clock0.Add(w.start), clock0.Add(w.end)).End()
+	w.span = nil
+}
+
+// deploy is the engine behind Deploy and DeployConcurrent.
+func (d *Deployment) deploy(parallel, concurrent bool) error {
 	clock0 := d.opts.World.Clock.Now()
 	root := d.opts.Tracer.Span("deploy")
 	if root != nil {
-		root.Int("instances", int64(len(d.order))).Bool("parallel", d.opts.Parallel)
+		root.Int("instances", int64(len(d.order))).Bool("parallel", parallel)
+		if concurrent {
+			root.Bool("concurrent", true)
+		}
 	}
 	var snap *worldSnapshot
 	if d.opts.OnFailure == FailRollback {
@@ -371,56 +406,72 @@ func (d *Deployment) Deploy() error {
 			ssp.Int("machines", int64(len(snap.machines))).At(clock0, clock0).End()
 		}
 	}
-	finish := make(map[string]time.Duration, len(d.order))
-	var total, maxFinish time.Duration
+	walks := make(map[string]*instanceWalk, len(d.order))
 	var derr *DeployError
+	// d.elapsed is the latest virtual time any instance has reached: in
+	// sequential mode, the running total.
+	d.elapsed = 0
 
-	for _, inst := range d.order {
-		sink := &costSink{}
-		// The instance's virtual start: in parallel mode the latest
-		// dependency finish (valid because order is topological), in
-		// sequential mode the running total so far.
-		vstart := total
-		if d.opts.Parallel {
-			vstart = 0
-			for _, dep := range inst.DependencyIDs() {
-				if finish[dep] > vstart {
-					vstart = finish[dep]
+	for pending := d.order; len(pending) > 0 && derr == nil; {
+		fired := len(d.events)
+		var parked []*spec.Instance
+		var blocked []BlockedInstance
+		for _, inst := range pending {
+			w := walks[inst.ID]
+			if w == nil {
+				// The instance's virtual start: in parallel mode the latest
+				// dependency finish (every dependency was walked first,
+				// since order is topological), in sequential mode the
+				// running total so far.
+				w = &instanceWalk{start: d.elapsed}
+				if parallel {
+					w.start = 0
+					for _, dep := range inst.DependencyIDs() {
+						if f := walks[dep].end; f > w.start {
+							w.start = f
+						}
+					}
 				}
+				w.span = root.Child("deploy.instance")
+				if w.span != nil {
+					w.span.Str("instance", inst.ID).Str("key", inst.Key.String()).
+						Str("machine", d.drivers[inst.ID].Ctx.Machine.Name).
+						Str("deps", strings.Join(inst.DependencyIDs(), " "))
+				}
+				walks[inst.ID] = w
 			}
-		}
-		isp := root.Child("deploy.instance")
-		if isp != nil {
-			isp.Str("instance", inst.ID).Str("key", inst.Key.String()).
-				Str("machine", d.drivers[inst.ID].Ctx.Machine.Name).
-				Str("deps", strings.Join(inst.DependencyIDs(), " "))
-		}
-		err := d.driveTo(inst.ID, driver.Active, sink, clock0.Add(vstart), isp)
-		if isp != nil {
+			// Where this stretch of actions starts: a parallel instance
+			// continues its own timeline, a sequential one the running
+			// total.
+			base := w.start
+			if !parallel {
+				base = d.elapsed - w.sink.d
+			}
+			err := d.driveTo(inst.ID, driver.Active, &w.sink, clock0.Add(base), w.span)
+			// Account the instance's cost even when it failed: retries
+			// and backoff consumed real (virtual) time.
+			w.end = base + w.sink.d
+			d.elapsed = max(d.elapsed, w.end)
+			if berr, ok := err.(*driver.BlockedError); ok {
+				parked = append(parked, inst)
+				blocked = append(blocked, BlockedInstance{Instance: inst.ID, Action: berr.Action, Guard: berr.Guard.String()})
+				continue
+			}
+			w.close(clock0, err)
 			if err != nil {
-				isp.Str("error", err.Error())
+				derr = asDeployError(err, inst.ID)
+				break
 			}
-			isp.At(clock0.Add(vstart), clock0.Add(vstart+sink.d)).End()
 		}
-		// Account the instance's cost even when it failed: retries and
-		// backoff consumed real (virtual) time.
-		if d.opts.Parallel {
-			finish[inst.ID] = vstart + sink.d
-			if finish[inst.ID] > maxFinish {
-				maxFinish = finish[inst.ID]
-			}
-		} else {
-			total += sink.d
+		if derr == nil && len(parked) > 0 && len(d.events) == fired {
+			derr = &DeployError{Deadlock: true, Blocked: blocked}
 		}
-		if err != nil {
-			derr = asDeployError(err, inst.ID)
-			break
-		}
+		pending = parked
 	}
-	if d.opts.Parallel {
-		d.elapsed = maxFinish
-	} else {
-		d.elapsed = total
+	for _, inst := range d.order {
+		if w := walks[inst.ID]; w != nil {
+			w.close(clock0, nil)
+		}
 	}
 	d.advanceClock()
 	if derr != nil {

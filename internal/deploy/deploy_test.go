@@ -10,6 +10,7 @@ import (
 
 	"engage/internal/config"
 	"engage/internal/driver"
+	"engage/internal/fault"
 	"engage/internal/machine"
 	"engage/internal/pkgmgr"
 	"engage/internal/resource"
@@ -487,6 +488,61 @@ func TestMultiHostParallelIndependentSlaves(t *testing.T) {
 	par := buildAndDeploy(true)
 	if par >= serial {
 		t.Errorf("independent slaves should overlap: parallel %v vs serial %v", par, serial)
+	}
+}
+
+// In parallel mode a failed slave starts when the machines it follows
+// finish, not after the latest-finishing machine: with two independent
+// machines, a fast failure on the second costs the site the first
+// machine's time, not the sum of both.
+func TestMultiHostFailedSlaveElapsed(t *testing.T) {
+	reg, err := testlib.OpenMRSRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p spec.Partial
+	js := `[
+		{"id": "m1", "key": "Mac-OSX 10.6"},
+		{"id": "m2", "key": "Mac-OSX 10.6"},
+		{"id": "tomcat", "key": "Tomcat 6.0.18", "inside": {"id": "m1"}},
+		{"id": "db", "key": "MySQL 5.1", "inside": {"id": "m2"}}
+	]`
+	if err := json.Unmarshal([]byte(js), &p); err != nil {
+		t.Fatal(err)
+	}
+	full, err := config.New(reg).Configure(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := machine.NewWorld()
+	mh, err := NewMultiHost(full, Options{
+		Registry: reg, Drivers: testDrivers(&eventLog{}), World: w,
+		Index: testIndex(), ProvisionMissing: true, Parallel: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mh.Order) != 2 || mh.Order[0] != "m1" {
+		t.Fatalf("machine order = %v, want m1 first", mh.Order)
+	}
+	first, second := mh.Order[0], mh.Order[1]
+	w.SetInjector(fault.NewPlan(1).FailPersistent(machine.OpStartProcess, second, ""))
+	clock0 := w.Clock.Now()
+	if err := mh.Deploy(); err == nil {
+		t.Fatal("deploy should fail on the second machine")
+	}
+	if !mh.Slaves[first].Deployed() {
+		t.Fatalf("machine %s should have deployed: %v", first, mh.Slaves[first].Status())
+	}
+	e1, e2 := mh.Slaves[first].Elapsed(), mh.Slaves[second].Elapsed()
+	if e2 == 0 || e2 >= e1 {
+		t.Fatalf("the failing slave should take less time than the first: %v vs %v", e2, e1)
+	}
+	if mh.Elapsed() != e1 {
+		t.Errorf("elapsed = %v, want %v (the failed slave's %v overlaps the first machine)", mh.Elapsed(), e1, e2)
+	}
+	if got := w.Clock.Now().Sub(clock0); got != mh.Elapsed() {
+		t.Errorf("world clock advanced %v, want %v", got, mh.Elapsed())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"engage/internal/driver"
 	"engage/internal/fault"
 	"engage/internal/machine"
+	"engage/internal/telemetry"
 	"engage/internal/testlib"
 )
 
@@ -166,73 +167,161 @@ func TestActionTimeout(t *testing.T) {
 	}
 }
 
-// A concurrent deployment whose guard can never hold terminates with a
-// structured deadlock error instead of hanging (regression: this used
-// to block forever on cond.Wait).
+// A deployment whose guard can never hold terminates with a structured
+// deadlock error naming every blocked instance, through either entry
+// point (regression: the concurrent engine used to block forever on
+// cond.Wait, and Deploy reported only the first blocked action).
 func TestDeployConcurrentDeadlock(t *testing.T) {
-	log := &eventLog{}
-	reg, err := testlib.OpenMRSRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drivers := testDrivers(log)
-	// Rebind MySQL's start to a guard no neighbour ever satisfies.
-	drivers.RegisterName("MySQL", func(ctx *driver.Context) *driver.StateMachine {
-		sm := driver.ServiceMachine(
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-			func(c *driver.Context) error { return nil },
-		)
-		for i := range sm.Actions {
-			if sm.Actions[i].Name == "start" {
-				sm.Actions[i].Guard = driver.Guard{{Dir: driver.Upstream, State: driver.State("quiesced")}}
+	for _, entry := range []struct {
+		name   string
+		deploy func(*Deployment) error
+	}{
+		{"DeployConcurrent", (*Deployment).DeployConcurrent},
+		{"Deploy", (*Deployment).Deploy},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			reg, err := testlib.OpenMRSRegistry()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return sm
-	})
-	w := machine.NewWorld()
-	d, err := New(openmrsFull(t), Options{
-		Registry:         reg,
-		Drivers:          drivers,
-		World:            w,
-		Index:            testIndex(),
-		ProvisionMissing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			drivers := testDrivers(&eventLog{})
+			// Rebind MySQL's start to a guard no neighbour ever satisfies.
+			drivers.RegisterName("MySQL", func(ctx *driver.Context) *driver.StateMachine {
+				sm := driver.ServiceMachine(
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+					func(c *driver.Context) error { return nil },
+				)
+				for i := range sm.Actions {
+					if sm.Actions[i].Name == "start" {
+						sm.Actions[i].Guard = driver.Guard{{Dir: driver.Upstream, State: driver.State("quiesced")}}
+					}
+				}
+				return sm
+			})
+			w := machine.NewWorld()
+			d, err := New(openmrsFull(t), Options{
+				Registry:         reg,
+				Drivers:          drivers,
+				World:            w,
+				Index:            testIndex(),
+				ProvisionMissing: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	err = d.DeployConcurrent()
-	if err == nil {
-		t.Fatal("unsatisfiable guard must be reported, not hang")
-	}
-	derr, ok := err.(*DeployError)
-	if !ok || !derr.Deadlock {
-		t.Fatalf("want deadlock DeployError, got %T: %v", err, err)
-	}
-	var mysqlGuard string
-	sawOpenMRS := false
-	for _, b := range derr.Blocked {
-		if strings.HasPrefix(b.Instance, "mysql") {
-			mysqlGuard = b.Guard
-		}
-		if b.Instance == "openmrs" {
-			sawOpenMRS = true
-		}
-	}
-	if !strings.Contains(mysqlGuard, "quiesced") {
-		t.Errorf("mysql should be reported blocked on its bogus guard; got %v", derr.Blocked)
-	}
-	if !sawOpenMRS {
-		t.Errorf("openmrs (waiting on mysql) should be reported blocked; got %v", derr.Blocked)
+			err = entry.deploy(d)
+			if err == nil {
+				t.Fatal("unsatisfiable guard must be reported, not hang")
+			}
+			derr, ok := err.(*DeployError)
+			if !ok || !derr.Deadlock {
+				t.Fatalf("want deadlock DeployError, got %T: %v", err, err)
+			}
+			var mysqlGuard string
+			sawOpenMRS := false
+			for _, b := range derr.Blocked {
+				if strings.HasPrefix(b.Instance, "mysql") {
+					mysqlGuard = b.Guard
+				}
+				if b.Instance == "openmrs" {
+					sawOpenMRS = true
+				}
+			}
+			if !strings.Contains(mysqlGuard, "quiesced") {
+				t.Errorf("mysql should be reported blocked on its bogus guard; got %v", derr.Blocked)
+			}
+			if !sawOpenMRS {
+				t.Errorf("openmrs (waiting on mysql) should be reported blocked; got %v", derr.Blocked)
+			}
+		})
 	}
 }
 
-// Concurrent failures keep the first error and collect the rest instead
-// of overwriting (regression: the old implementation kept only the last
-// failure to be recorded).
+// An up-transition with a ↓ guard parks its instance until a later
+// pass: MySQL starts only once OpenMRS has staged its schema, and
+// OpenMRS finishes installing only once MySQL is active. Both entry
+// points deploy the stack in two passes with one span per instance and
+// one span, one event and one metric count per action fired.
+func TestDeployParksUntilGuardHolds(t *testing.T) {
+	const staged = driver.State("staged")
+	for _, entry := range []struct {
+		name   string
+		deploy func(*Deployment) error
+	}{
+		{"DeployConcurrent", (*Deployment).DeployConcurrent},
+		{"Deploy", (*Deployment).Deploy},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			log := &eventLog{}
+			d, _, buf, metrics := newTracedDeployment(t, false)
+			noop := func(*driver.Context) error { return nil }
+			d.drivers["openmrs"].SM = &driver.StateMachine{
+				States: []driver.State{driver.Uninstalled, staged, driver.Inactive, driver.Active},
+				Actions: []driver.Action{
+					{Name: "stage", From: driver.Uninstalled, To: staged, Run: func(*driver.Context) error {
+						log.add("stage:openmrs")
+						return nil
+					}},
+					{Name: "install", From: staged, To: driver.Inactive, Guard: driver.Guard{{Dir: driver.Upstream, State: driver.Active}}, Run: noop},
+					{Name: "start", From: driver.Inactive, To: driver.Active, Guard: driver.Guard{{Dir: driver.Upstream, State: driver.Active}}, Run: noop},
+				},
+			}
+			var mysqlID string
+			for _, inst := range d.Instances() {
+				if inst.Key.Name == "MySQL" {
+					mysqlID = inst.ID
+				}
+			}
+			mysql := d.drivers[mysqlID].SM
+			for i := range mysql.Actions {
+				if mysql.Actions[i].Name == "start" {
+					mysql.Actions[i].Guard = driver.Guard{{Dir: driver.Downstream, State: staged}}
+					mysql.Actions[i].Run = func(*driver.Context) error {
+						log.add("start:mysql")
+						return nil
+					}
+				}
+			}
+
+			if err := entry.deploy(d); err != nil {
+				t.Fatal(err)
+			}
+			if !d.Deployed() {
+				t.Fatalf("all drivers should be active: %v", d.Status())
+			}
+			if got := log.list(); !reflect.DeepEqual(got, []string{"stage:openmrs", "start:mysql"}) {
+				t.Errorf("mysql must start after openmrs stages: %v", got)
+			}
+			trace, err := telemetry.ReadTrace(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(trace.Spans("deploy.instance")); n != len(d.Instances()) {
+				t.Errorf("%d instance spans, want %d", n, len(d.Instances()))
+			}
+			actions := trace.Spans("deploy.action")
+			if len(actions) != len(d.Events()) || metrics.Counter("deploy.actions").Value() != int64(len(actions)) {
+				t.Errorf("%d action spans, %d events, %d counted actions",
+					len(actions), len(d.Events()), metrics.Counter("deploy.actions").Value())
+			}
+			for _, isp := range trace.Spans("deploy.instance") {
+				for _, asp := range trace.ChildSpans(isp.ID) {
+					if asp.VStart.Before(*isp.VStart) || asp.VEnd.After(*isp.VEnd) {
+						t.Errorf("action %s/%s span [%v, %v] outside instance [%v, %v]",
+							asp.Str("instance"), asp.Str("action"), asp.VStart, asp.VEnd, isp.VStart, isp.VEnd)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A failed concurrent deploy reports the failing instance as a
+// structured error with every instance's terminal state.
 func TestDeployConcurrentFailureIsStructured(t *testing.T) {
 	plan := fault.NewPlan(1).FailPersistent(machine.OpStartProcess, "", "mysql")
 	d, _ := newFaultDeployment(t, &eventLog{}, plan, nil)
@@ -246,11 +335,6 @@ func TestDeployConcurrentFailureIsStructured(t *testing.T) {
 	}
 	if !strings.HasPrefix(derr.Instance, "mysql") {
 		t.Errorf("first failure should name the mysql instance, got %q", derr.Instance)
-	}
-	for _, extra := range derr.Additional {
-		if _, ok := extra.(*DeployError); !ok {
-			t.Errorf("additional failures should be structured, got %T", extra)
-		}
 	}
 	if len(derr.States) == 0 {
 		t.Error("States should be populated")

@@ -134,17 +134,27 @@ func (mh *MultiHost) Deploy() error {
 		}
 	}
 	finish := make(map[string]time.Duration, len(mh.Order))
-	var total, maxFinish time.Duration
+	var maxFinish time.Duration
 	for _, m := range mh.Order {
 		slave := mh.Slaves[m]
-		if err := slave.Deploy(); err != nil {
+		err := slave.Deploy()
+		// The slave's virtual start: in parallel mode the latest finish
+		// among the machines it follows, in sequential mode the running
+		// total. A failed slave is accounted too: its retries and
+		// backoff consumed real (virtual) time.
+		start := maxFinish
+		if mh.opts.Parallel {
+			start = 0
+			for _, dep := range mh.machineDeps[m] {
+				start = max(start, finish[dep])
+			}
+		}
+		finish[m] = start + slave.Elapsed()
+		maxFinish = max(maxFinish, finish[m])
+		if err != nil {
 			// Account what the site consumed up to the failure, then
 			// restore if this deployment is transactional.
-			if mh.opts.Parallel {
-				mh.elapsed = maxFinish + slave.Elapsed()
-			} else {
-				mh.elapsed = total + slave.Elapsed()
-			}
+			mh.elapsed = maxFinish
 			if !mh.opts.NoClockAdvance {
 				mh.opts.World.Clock.Advance(mh.elapsed)
 			}
@@ -162,26 +172,8 @@ func (mh *MultiHost) Deploy() error {
 			}
 			return fmt.Errorf("deploy: slave %q: %w", m, derr)
 		}
-		if mh.opts.Parallel {
-			start := time.Duration(0)
-			for _, dep := range mh.machineDeps[m] {
-				if finish[dep] > start {
-					start = finish[dep]
-				}
-			}
-			finish[m] = start + slave.Elapsed()
-			if finish[m] > maxFinish {
-				maxFinish = finish[m]
-			}
-		} else {
-			total += slave.Elapsed()
-		}
 	}
-	if mh.opts.Parallel {
-		mh.elapsed = maxFinish
-	} else {
-		mh.elapsed = total
-	}
+	mh.elapsed = maxFinish
 	if !mh.opts.NoClockAdvance {
 		mh.opts.World.Clock.Advance(mh.elapsed)
 	}

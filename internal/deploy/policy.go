@@ -8,7 +8,6 @@ package deploy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -105,7 +104,7 @@ func (r RetryPolicy) backoff(attempt int) time.Duration {
 }
 
 // BlockedInstance names one instance stuck on an unsatisfied guard when
-// a concurrent deployment deadlocks.
+// a deployment deadlocks.
 type BlockedInstance struct {
 	Instance string
 	Action   string
@@ -114,12 +113,11 @@ type BlockedInstance struct {
 
 // DeployError is the structured error of a failed deployment: which
 // action on which instance failed after how many attempts, every
-// instance's terminal state, whether the world was rolled back, and —
-// for concurrent deployments — any additional failures beyond the first
-// and the blocked instances of a detected deadlock.
+// instance's terminal state, whether the world was rolled back, and the
+// blocked instances of a detected deadlock.
 type DeployError struct {
-	// Instance and Action identify the first failure ("" for
-	// deadlocks, which have no failing action).
+	// Instance and Action identify the failure ("" for deadlocks, which
+	// have no failing action).
 	Instance string
 	Action   string
 	// Attempts is how many times the failing action was tried.
@@ -129,12 +127,9 @@ type DeployError struct {
 	// States records every instance's terminal state at failure time
 	// (before any rollback).
 	States map[string]driver.State
-	// Additional collects failures beyond the first from other workers
-	// of a concurrent deployment.
-	Additional []error
-	// Deadlock is set when every unfinished worker of a concurrent
-	// deployment was blocked on a guard that could never become true;
-	// Blocked names them.
+	// Deadlock is set when every unfinished instance was blocked on a
+	// guard that could never become true; Blocked names them in
+	// dependency order.
 	Deadlock bool
 	Blocked  []BlockedInstance
 	// RolledBack reports that the FailRollback policy restored the
@@ -168,9 +163,6 @@ func (e *DeployError) Error() string {
 		if e.Err != nil {
 			fmt.Fprintf(&b, ": %v", e.Err)
 		}
-	}
-	if n := len(e.Additional); n > 0 {
-		fmt.Fprintf(&b, " (+%d additional failure(s))", n)
 	}
 	if e.RolledBack {
 		if e.RollbackErr != nil {
@@ -279,29 +271,4 @@ func (d *Deployment) rollbackWorld(snap *worldSnapshot) error {
 		}
 	}
 	return err
-}
-
-// deadlockError builds the structured deadlock report from the blocked
-// workers, sorted by instance for determinism.
-func deadlockError(blocked map[string]*blockedWait) *DeployError {
-	derr := &DeployError{Deadlock: true}
-	for id, bw := range blocked {
-		derr.Blocked = append(derr.Blocked, BlockedInstance{
-			Instance: id,
-			Action:   bw.action,
-			Guard:    bw.guard.String(),
-		})
-	}
-	sort.Slice(derr.Blocked, func(i, j int) bool { return derr.Blocked[i].Instance < derr.Blocked[j].Instance })
-	return derr
-}
-
-// blockedWait records why a concurrent worker is parked: the action and
-// guard it is waiting on, and the state generation its guard was last
-// evaluated against (deadlock is declared only when every unfinished
-// worker is parked with a current evaluation).
-type blockedWait struct {
-	action string
-	guard  driver.Guard
-	gen    int
 }

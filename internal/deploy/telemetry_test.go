@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,11 @@ func TestDeployConcurrentTraceTimeline(t *testing.T) {
 	if v, _ := root.Attrs["concurrent"].(bool); !v {
 		t.Errorf("root should be marked concurrent: %v", root.Attrs)
 	}
+	var report bytes.Buffer
+	telemetry.WriteReport(&report, trace)
+	if !strings.Contains(report.String(), "concurrent)") {
+		t.Errorf("trace report should show the deploy as concurrent:\n%s", report.String())
+	}
 	n := 0
 	for _, sp := range trace.ChildSpans(root.ID) {
 		if sp.Name != "deploy.instance" {
@@ -162,9 +168,9 @@ func TestNilTracerActionPathZeroAllocs(t *testing.T) {
 		before := sink.d
 		// fireWithRetry's retry and timeout instrumentation.
 		if sp != nil {
-			sp.Event("deploy.timeout").At(vbase.Add(sink.total())).
+			sp.Event("deploy.timeout").At(vbase.Add(sink.d)).
 				Dur("cost", 0).Dur("limit", 0).Emit()
-			sp.Event("deploy.retry").At(vbase.Add(sink.total())).
+			sp.Event("deploy.retry").At(vbase.Add(sink.d)).
 				Int("attempt", 1).Dur("backoff", 0).
 				Str("error", errBoom.Error()).Emit()
 		}

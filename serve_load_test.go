@@ -7,8 +7,9 @@ package engage
 // two architectural claims — sustained in-process throughput (≥1000
 // submissions/sec, p99 reported) and the warm-session win (every warm
 // response's sat.Stats delta shows strictly fewer propagations than
-// every cold solve of the same body) — and persists one row to
-// BENCH_serve.json next to the other BENCH_* artifacts.
+// every cold solve of the same body) — and writes one row to
+// BENCH_serve.json. That file is not tracked: CI uploads it as the
+// serve-load artifact.
 //
 // Set ENGAGE_SERVE_TRACE to a path to attach a tracer; CI validates the
 // emitted trace with `engage trace validate`.
